@@ -299,7 +299,7 @@ func runDistDemo(w io.Writer, steps, every, failAt int) error {
 
 	fmt.Fprintf(w, "launching 4 worker processes (2 ranks x 2 replicas); checkpoints every %d steps\n", every)
 	fmt.Fprintf(w, "SIGKILL scheduled for BOTH replicas of rank 1 at step %d\n", failAt)
-	rep := cluster.RunDistributed(cluster.DistConfig{
+	rep := cluster.RunDistributed(cluster.Config{
 		Ranks:       2,
 		Replication: 2,
 		Protocol:    cluster.SDR,
@@ -320,7 +320,8 @@ func runDistDemo(w io.Writer, steps, every, failAt int) error {
 	}
 	fmt.Fprintf(w, "rollback restarts: %d (resumed from wave %d)\n", rep.Restarts, rep.RestartWave)
 	for _, p := range rep.Procs {
-		fmt.Fprintf(w, "  rank %d rep %d: sum=%.0f\n", p.Rank, p.Rep, p.Result.Checksum)
+		wr, _ := p.Result.(cluster.WorkerResult)
+		fmt.Fprintf(w, "  rank %d rep %d: sum=%.0f\n", p.Rank, p.Rep, wr.Checksum)
 	}
 	if rep.Restarts < 1 {
 		return fmt.Errorf("expected at least one rollback restart")

@@ -248,41 +248,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *distributed {
-		if *traceSends {
-			fmt.Fprintln(os.Stderr, "sdrun: -trace is not supported with -distributed")
-			os.Exit(2)
-		}
-		os.Exit(runDistributed(distOpts{
-			entry: entry, app: *app, ranks: *ranks, proto: proto, r: *r,
-			scale: *scale, timeout: *timeout, ckptDir: *ckptDir,
-			kills: kills, compare: *compare,
-			unreplicated: unrep, degrees: degrees,
-			recovery: mode, logged: logged,
-			statsJSON: *statsJSON, noRing: *noRing, health: *health,
-		}))
-	}
-	if *statsJSON != "" {
-		fmt.Fprintln(os.Stderr, "sdrun: -stats-json requires -distributed")
-		os.Exit(2)
-	}
-	if *noRing {
-		fmt.Fprintln(os.Stderr, "sdrun: -no-ring requires -distributed")
-		os.Exit(2)
-	}
-
-	// The localized-replay rung needs a checkpoint store even in-process.
 	inprocCkpt := *ckptDir
-	if mode == cluster.RecoveryLog && inprocCkpt == "" {
-		dir, err := os.MkdirTemp("", "sdrun-ckpt-*")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sdrun:", err)
-			os.Exit(1)
-		}
-		defer os.RemoveAll(dir)
-		inprocCkpt = dir
-	}
-
 	run := func(p cluster.Protocol, fails []cluster.FailureEvent, tr bool) *cluster.Report {
 		cfg := cluster.Config{
 			Ranks: *ranks, Protocol: p, Replication: *r, Timeout: *timeout,
@@ -309,6 +275,41 @@ func main() {
 			c.Barrier()
 			return timed{res, time.Since(start)}, nil
 		})
+	}
+
+	if *distributed {
+		if *traceSends {
+			fmt.Fprintln(os.Stderr, "sdrun: -trace is not supported with -distributed")
+			os.Exit(2)
+		}
+		os.Exit(runDistributed(distOpts{
+			app: *app, ranks: *ranks, proto: proto, r: *r,
+			scale: *scale, timeout: *timeout, ckptDir: *ckptDir,
+			kills: kills, compare: *compare,
+			unreplicated: unrep, degrees: degrees,
+			recovery: mode, logged: logged,
+			statsJSON: *statsJSON, noRing: *noRing, health: *health,
+			native: func() *cluster.Report { return run(cluster.Native, nil, false) },
+		}))
+	}
+	if *statsJSON != "" {
+		fmt.Fprintln(os.Stderr, "sdrun: -stats-json requires -distributed")
+		os.Exit(2)
+	}
+	if *noRing {
+		fmt.Fprintln(os.Stderr, "sdrun: -no-ring requires -distributed")
+		os.Exit(2)
+	}
+
+	// The localized-replay rung needs a checkpoint store even in-process.
+	if mode == cluster.RecoveryLog && inprocCkpt == "" {
+		dir, err := os.MkdirTemp("", "sdrun-ckpt-*")
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "sdrun:", err)
+			os.Exit(1)
+		}
+		defer os.RemoveAll(dir)
+		inprocCkpt = dir
 	}
 
 	rep := run(proto, kills, *traceSends)
@@ -499,7 +500,7 @@ func workerMain() int {
 
 // distOpts carries the coordinator-side options of a -distributed run.
 type distOpts struct {
-	entry        appEntry
+	native       func() *cluster.Report // the in-process native reference run
 	app          string
 	ranks        int
 	proto        cluster.Protocol
@@ -533,7 +534,7 @@ func runDistributed(o distOpts) int {
 		ckptDir = dir
 	}
 
-	rep := cluster.RunDistributed(cluster.DistConfig{
+	rep := cluster.RunDistributed(cluster.Config{
 		Ranks:             o.ranks,
 		Replication:       o.r,
 		Protocol:          o.proto,
@@ -555,8 +556,12 @@ func runDistributed(o distOpts) int {
 		return 1
 	}
 
+	r := o.r
+	if o.proto == cluster.Native {
+		r = 1
+	}
 	fmt.Printf("%s on %d ranks under %s (r=%d, distributed: %d worker processes)\n",
-		o.app, o.ranks, o.proto, rep.Replication, len(rep.Procs))
+		o.app, o.ranks, o.proto, r, len(rep.Procs))
 	if o.proto != cluster.Native {
 		fmt.Printf("recovery: %s%s\n", o.recovery, logSuffix(o.recovery, o.logged))
 	}
@@ -565,8 +570,9 @@ func runDistributed(o distOpts) int {
 			fmt.Printf("  rank %2d rep %d: killed (SIGKILL, injected)\n", p.Rank, p.Rep)
 			continue
 		}
+		res := p.Result.(cluster.WorkerResult)
 		fmt.Printf("  rank %2d rep %d: checksum=%.6g iters=%d\n",
-			p.Rank, p.Rep, p.Result.Checksum, p.Result.Iterations)
+			p.Rank, p.Rep, res.Checksum, res.Iterations)
 	}
 	fmt.Printf("restarts: %d", rep.Restarts)
 	if rep.Restarts > 0 {
@@ -584,15 +590,7 @@ func runDistributed(o distOpts) int {
 		// Reference: the in-process fault-free native run of the same
 		// workload. Every surviving worker of every replica world must have
 		// computed exactly its rank's native checksum.
-		nat := cluster.Run(cluster.Config{
-			Ranks: o.ranks, Protocol: cluster.Native, Timeout: o.timeout,
-		}, func(env *cluster.Env) (any, error) {
-			c := env.World
-			c.Barrier()
-			res := o.entry.build(o.scale, env)
-			c.Barrier()
-			return res, nil
-		})
+		nat := o.native()
 		if err := nat.FirstError(); err != nil {
 			fmt.Fprintf(os.Stderr, "sdrun: native reference run: %v\n", err)
 			return 1
@@ -603,11 +601,12 @@ func runDistributed(o distOpts) int {
 			if p.Crashed {
 				continue
 			}
-			want := nat.ResultOf(p.Rank, 0).(apps.Result)
-			if p.Result.Checksum != want.Checksum || p.Result.Iterations != want.Iterations {
+			got := p.Result.(cluster.WorkerResult)
+			want := nat.ResultOf(p.Rank, 0).(timed).r
+			if got.Checksum != want.Checksum || got.Iterations != want.Iterations {
 				mismatch = true
 				fmt.Printf("MISMATCH rank %d rep %d: distributed checksum=%.9g iters=%d, native checksum=%.9g iters=%d\n",
-					p.Rank, p.Rep, p.Result.Checksum, p.Result.Iterations, want.Checksum, want.Iterations)
+					p.Rank, p.Rep, got.Checksum, got.Iterations, want.Checksum, want.Iterations)
 				continue
 			}
 			compared++
@@ -646,7 +645,7 @@ func runDistributed(o distOpts) int {
 // buildRunStats folds a distributed report into the machine-readable
 // RunStats document: the coordinator's own sdr_cluster_* series plus the
 // end-of-run /metrics scrape of every surviving worker.
-func buildRunStats(o distOpts, rep *cluster.DistReport) *obs.RunStats {
+func buildRunStats(o distOpts, rep *cluster.Report) *obs.RunStats {
 	rs := obs.NewRunStats()
 	rs.Protocol = string(o.proto)
 	rs.Ranks = o.ranks

@@ -77,7 +77,7 @@
 // world is served by its lowest replica through the same substitution
 // bookkeeping that absorbs failures, set up at construction — no phantom
 // processes exist at any layer. Config.UnreplicatedRanks/Degrees select
-// it in-process, the same DistConfig fields (and sdrun -unreplicated /
+// it in-process, the same Config fields (and sdrun -unreplicated /
 // -degrees) select it distributed, where exactly Σ degrees worker OS
 // processes are spawned and SDR_DIST_DEGREES ships the vector to each
 // worker. The failure ladder shortens accordingly: an unreplicated
@@ -105,8 +105,10 @@
 // each worker), and shutdown. Replication exhaustion makes workers exit
 // with a distinct code; the coordinator tears the epoch down and respawns
 // every worker from the latest committed wave in the shared internal/ckpt
-// store — the cross-process incarnation of cluster.Run's recovery ladder,
-// with results identical to a fault-free in-process run. Under
+// store — cluster.Run's recovery ladder itself (one epoch loop and one
+// proc builder serve both launchers, which take the same Config and
+// return the same Report), with results identical to a fault-free
+// in-process run. Under
 // SDR_DIST_RECOVERY=log a logging-enabled rank's death instead respawns
 // only that worker (SDR_DIST_REPLAY carries its restore wave) behind the
 // registry's revive/ack rejoin flow, with the survivors kept alive. The

@@ -10,6 +10,7 @@ package cluster
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,7 +65,8 @@ const (
 )
 
 // FailureEvent schedules a fail-stop crash: the victim replica kills
-// itself when its application reaches Step(AtStep).
+// itself when its application reaches Step(AtStep) — under RunDistributed
+// it parks there and the coordinator SIGKILLs it.
 type FailureEvent struct {
 	Rank, Rep int
 	AtStep    int
@@ -84,8 +86,7 @@ type Config struct {
 	Replication int // ignored (forced to 1) for Native
 	Protocol    Protocol
 
-	Delay  *transport.DelayModel
-	UseTCP bool
+	Delay *transport.DelayModel
 
 	// EagerLimit overrides the eager/rendezvous switch (0 = default).
 	EagerLimit int
@@ -145,16 +146,27 @@ type Config struct {
 	// localized-replay rung for degree-1 ranks (see RecoveryMode).
 	RecoveryMode RecoveryMode
 
-	// Timeout is the watchdog deadline for one run epoch (default 60s).
+	// Timeout is the watchdog deadline for one run epoch (default 60s
+	// under Run, 2 minutes under RunDistributed).
 	Timeout time.Duration
-}
 
-// recoveryLog reports whether the localized-replay rung is armed.
-func (c Config) recoveryLog() bool { return c.RecoveryMode == RecoveryLog }
-
-// validateRecovery rejects unusable recovery configurations.
-func (c Config) validateRecovery() error {
-	return validateRecoveryMode(c.RecoveryMode, c.Protocol, c.CheckpointDir)
+	// The process launcher's own fields, read only by RunDistributed.
+	// WorkerCmd is the argv used to exec one worker (default: this
+	// binary, re-entered in worker mode via the env contract); WorkerEnv
+	// is extra environment for workers (application selection). LogSink
+	// receives the line-prefixed stdout/stderr streams of every worker
+	// (default os.Stderr).
+	WorkerCmd []string
+	WorkerEnv []string
+	LogSink   io.Writer
+	// HealthTimeout kills a worker whose control connection has been
+	// silent for this long — the liveness probe backing the failure
+	// detector (default 20s; workers ping every 500ms).
+	HealthTimeout time.Duration
+	// NoRing disables the colocated shared-memory ring transport: every
+	// worker pair stays on loopback TCP. Rings are on by default — in a
+	// single-host run every pair is colocated.
+	NoRing bool
 }
 
 // validateRecoveryMode is the shared rule both launchers enforce: the log
@@ -180,8 +192,8 @@ func validateRecoveryMode(mode RecoveryMode, proto Protocol, ckptDir string) err
 
 // logRankVector marks the logical ranks running with sender-based message
 // logging: every degree-1 rank when the log mode is armed, nil otherwise.
-func logRankVector(cfg interface{ recoveryLog() bool }, l core.Layout) []bool {
-	if !cfg.recoveryLog() {
+func logRankVector(mode RecoveryMode, l core.Layout) []bool {
+	if mode != RecoveryLog {
 		return nil
 	}
 	logged := make([]bool, l.N)
@@ -196,14 +208,6 @@ func logRankVector(cfg interface{ recoveryLog() bool }, l core.Layout) []bool {
 		return nil
 	}
 	return logged
-}
-
-// timeout returns the effective per-epoch watchdog deadline.
-func (c Config) timeout() time.Duration {
-	if c.Timeout <= 0 {
-		return 60 * time.Second
-	}
-	return c.Timeout
 }
 
 func (c Config) replication() int {
@@ -289,10 +293,6 @@ type harness interface {
 	// noteCkpt records that rank's writer completed its save for step;
 	// the harness commits the wave once every rank has.
 	noteCkpt(rank, step int) error
-	// numRanks returns the logical world size.
-	numRanks() int
-	// epochIndex returns the restart epoch (0 for the first execution).
-	epochIndex() int
 	// stepHook realizes the failure/recovery schedule at a step boundary.
 	stepHook(e *Env, step int, snapshot func() []byte)
 }
@@ -305,6 +305,7 @@ type Env struct {
 	Rep   int // replica index (0 for native)
 
 	h            harness
+	epoch        int
 	proto        *core.Replicated // nil under Native
 	restored     []byte
 	restoredStep int // checkpoint wave of a rollback restart, -1 otherwise
@@ -368,7 +369,7 @@ func (e *Env) LatestCheckpoint() (int, error) {
 	if e.store == nil {
 		return -1, fmt.Errorf("cluster: no CheckpointDir configured")
 	}
-	return e.store.LatestCommon(e.h.numRanks())
+	return e.store.LatestCommon(e.World.Size())
 }
 
 // isWriter reports whether this replica is its rank's designated I/O
@@ -419,7 +420,7 @@ func (e *Env) RestoredStep() int { return e.restoredStep }
 
 // Epoch returns the restart epoch: 0 for the first execution, incremented
 // by every full rollback restart.
-func (e *Env) Epoch() int { return e.h.epochIndex() }
+func (e *Env) Epoch() int { return e.epoch }
 
 // Replicated exposes the protocol layer for inspection (nil under Native).
 func (e *Env) Replicated() *core.Replicated { return e.proto }
@@ -439,12 +440,14 @@ func (e *Env) Step(step int, snapshot func() []byte) {
 
 // ProcReport describes one physical process's outcome. Under partial
 // replication only the replicas the degree vector names exist — the
-// physical-ID space is dense, so there are no placeholder entries.
+// physical-ID space is dense, so there are no placeholder entries. Under
+// RunDistributed, Result holds the worker's WorkerResult and Elapsed is
+// zero.
 type ProcReport struct {
 	Proc    transport.ProcID
 	Rank    int
 	Rep     int
-	Crashed bool // scheduled fail-stop realized
+	Crashed bool // scheduled fail-stop realized (a SIGKILL under RunDistributed)
 	Err     error
 	Result  any
 	Elapsed time.Duration
@@ -457,7 +460,9 @@ type Report struct {
 	Config  Config
 	Elapsed time.Duration
 	Procs   []ProcReport
-	Stats   transport.StatsSnapshot
+	// Stats is the in-process network's traffic (zero under
+	// RunDistributed, whose workers report through Workers).
+	Stats transport.StatsSnapshot
 	// Recorders maps physical proc → send recorder (TraceSends runs).
 	Recorders map[transport.ProcID]*trace.Recorder
 	// SDCDetected sums hash mismatches across replicas (SDC runs).
@@ -474,10 +479,22 @@ type Report struct {
 	// (-1 if none).
 	Replays    int
 	ReplayWave int
-	// ExhaustErr is set when replication was exhausted and rollback was
-	// impossible (no store, no committed wave, or the restart budget ran
-	// out).
+	// ExhaustErr is set when the run could not go on: the configuration
+	// was rejected, the process launcher failed, or replication was
+	// exhausted and rollback was impossible (no store, no committed wave,
+	// or the restart budget ran out).
 	ExhaustErr error
+
+	// Trace is the recovery-ladder event chain: obs.DefaultTrace under Run;
+	// under RunDistributed the coordinator's own chain (park/kill/detect/
+	// replay/rollback), while the workers' events surface as TRACE lines
+	// in the log sink.
+	Trace *obs.Trace
+	// Workers holds the end-of-run /metrics scrape of every worker alive
+	// when the final epoch completed (RunDistributed only).
+	Workers []obs.WorkerStats
+	// EpochsSec is each epoch's wall-clock duration, in order.
+	EpochsSec []float64
 }
 
 // FirstError returns the first non-crash error, if any.
@@ -486,7 +503,7 @@ func (r *Report) FirstError() error {
 		// Report the per-epoch watchdog deadline, not Elapsed: after a
 		// rollback restart, Elapsed accumulates across epochs while the
 		// watchdog fired within the final one.
-		return fmt.Errorf("cluster: run timed out after %v", r.Config.timeout())
+		return fmt.Errorf("cluster: run timed out after %v", r.Config.Timeout)
 	}
 	if r.ExhaustErr != nil {
 		return r.ExhaustErr
@@ -565,10 +582,9 @@ type runState struct {
 	reports    []ProcReport                         // guarded by mu
 	recorders  map[transport.ProcID]*trace.Recorder // guarded by mu
 	wg         sync.WaitGroup
-	sdcTotal   int       // guarded by mu
-	cloneStart time.Time // guarded by mu
-	replays    int       // guarded by mu; completed localized relaunches this epoch
-	replayWave int       // guarded by mu; wave of the last localized relaunch
+	sdcTotal   int // guarded by mu
+	replays    int // guarded by mu; completed localized relaunches this epoch
+	replayWave int // guarded by mu; wave of the last localized relaunch
 
 	// exhaustedRank+1 of the first rank observed to lose its last
 	// replica; 0 while replication still holds.
@@ -580,12 +596,6 @@ type runState struct {
 	spawned atomic.Int64
 	appDone atomic.Int64
 }
-
-// numRanks implements harness.
-func (rs *runState) numRanks() int { return rs.cfg.Ranks }
-
-// epochIndex implements harness.
-func (rs *runState) epochIndex() int { return rs.epoch }
 
 // noteCkpt records that rank's writer completed its save for step; when
 // every rank has, the wave is committed and superseded waves are pruned.
@@ -707,136 +717,67 @@ func (rs *runState) relaunchLogged(dead transport.ProcID) {
 	rev.Proc, rev.Rank, rev.Wave = int(dead), rank, seed.wave
 	obs.DefaultTrace.Emit(rev)
 	rs.nw.Revive(dead)
-	rs.runProc(dead, nil, nil, seed)
+	s := rs.spec(dead)
+	s.replay = seed
+	rs.runProc(s, true)
 }
 
-// Run executes the application under the configured protocol and returns
-// the aggregated report. It implements the full recovery ladder: replica
-// substitution absorbs individual crashes inside an epoch; when the last
-// replica of a rank dies the epoch is torn down and — if a committed
-// checkpoint wave exists — every process is respawned on a fresh network
-// with Env.Restored seeded from that wave, repeating until the application
+// Run executes the application under the configured protocol, one
+// goroutine per physical process, and returns the aggregated report. It
+// implements the full recovery ladder (see ladder): replica substitution
+// absorbs individual crashes inside an epoch; when the last replica of a
+// rank dies the epoch is torn down and — if a committed checkpoint wave
+// exists — every process is respawned on a fresh network with
+// Env.Restored seeded from that wave, repeating until the application
 // completes. Scheduled crashes fire at most once across epochs.
 func Run(cfg Config, app AppFunc) *Report {
-	layout, err := cfg.layout()
-	if err == nil {
-		err = validateSchedule(layout, cfg.Failures, cfg.Recoveries)
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 60 * time.Second
 	}
-	if err == nil {
-		err = cfg.validateRecovery()
-	}
+	layout, store, err := cfg.prepare()
 	if err != nil {
-		return &Report{Config: cfg, Procs: []ProcReport{{Err: err}}, RestartWave: -1, ReplayWave: -1}
+		return rejected(cfg, obs.DefaultTrace, err)
 	}
-	var store *ckpt.Store
-	if cfg.CheckpointDir != "" {
-		store, err = ckpt.NewStore(cfg.CheckpointDir)
-		if err != nil {
-			return &Report{Config: cfg, Procs: []ProcReport{{Err: err}}, RestartWave: -1, ReplayWave: -1}
-		}
-	}
-
 	fired := &firedSet{m: make(map[int]bool)}
-	var restart [][]byte
-	restartWave := -1
-	restarts := 0
-	replays, replayWave := 0, -1
-	var total time.Duration
-	// One-shot event firing bounds the possible exhaustions, but keep an
-	// explicit budget so a misbehaving store cannot loop the launcher.
-	maxRestarts := len(cfg.Failures) + 1
-	for {
-		rep, rs := runOnce(cfg, layout, app, store, fired, restart, restartWave, restarts)
-		total += rep.Elapsed
-		rep.Elapsed = total
-		rep.Restarts = restarts
-		rep.RestartWave = restartWave
-		rs.mu.Lock()
-		replays += rs.replays
-		if rs.replays > 0 {
-			replayWave = rs.replayWave
-		}
-		rs.mu.Unlock()
-		rep.Replays = replays
-		rep.ReplayWave = replayWave
-		exRank := rs.exhaustedRank()
-		if exRank < 0 {
-			return rep
-		}
-		fail := func(err error) *Report {
-			rep.ExhaustErr = err
-			return rep
-		}
-		if store == nil {
-			return fail(fmt.Errorf("cluster: all replicas of rank %d failed and no CheckpointDir is configured for rollback", exRank))
-		}
-		if restarts >= maxRestarts {
-			return fail(fmt.Errorf("cluster: all replicas of rank %d failed; restart budget (%d) exhausted", exRank, maxRestarts))
-		}
-		wave, err := store.LatestCommon(cfg.Ranks)
-		if err != nil {
-			return fail(fmt.Errorf("cluster: all replicas of rank %d failed; checkpoint scan: %w", exRank, err))
-		}
-		if wave < 0 {
-			return fail(fmt.Errorf("cluster: all replicas of rank %d failed before any committed checkpoint wave", exRank))
-		}
-		states := make([][]byte, cfg.Ranks)
-		for rank := range states {
-			b, err := store.Load(rank, wave)
-			if err != nil {
-				return fail(fmt.Errorf("cluster: rollback to wave %d: %w", wave, err))
-			}
-			states[rank] = b
-		}
-		// Replay states are epoch-relative (sequence counters restart with
-		// the fresh processes); pre-rollback mlogs must never seed a
-		// localized relaunch in the new epoch.
-		if err := store.PruneLogs(); err != nil {
-			return fail(fmt.Errorf("cluster: rollback to wave %d: %w", wave, err))
-		}
-		restart, restartWave = states, wave
-		restarts++
-		rbe := obs.Ev(obs.StageRollback,
-			fmt.Sprintf("epoch torn down; respawning all processes from wave %d", wave))
-		rbe.Wave = wave
-		obs.DefaultTrace.Emit(rbe)
-	}
+	return ladder(cfg, store, obs.DefaultTrace, func(wave, epoch int) epochEnd {
+		return runOnce(cfg, layout, app, store, fired, wave, epoch)
+	})
 }
 
-// runOnce executes one epoch: spawn, watchdog, aggregate.
-func runOnce(cfg Config, layout core.Layout, app AppFunc, store *ckpt.Store, fired *firedSet, restart [][]byte, restartWave, epoch int) (*Report, *runState) {
-	var nw *transport.Network
-	if cfg.UseTCP {
-		var tw *transport.TCPWire
-		var err error
-		if nw, tw, err = transport.NewTCPNetwork(layout.Procs(), cfg.Delay); err != nil {
-			// Loopback listen failed (exotic sandbox): run in-process.
-			nw = transport.NewNetwork(layout.Procs(), cfg.Delay)
-		} else {
-			defer tw.Close()
+// runOnce executes one epoch from restart wave `wave` (-1: a fresh start):
+// seed, spawn, watchdog, aggregate.
+func runOnce(cfg Config, layout core.Layout, app AppFunc, store *ckpt.Store, fired *firedSet, wave, epoch int) epochEnd {
+	var restart [][]byte
+	if wave >= 0 {
+		restart = make([][]byte, cfg.Ranks)
+		for rank := range restart {
+			b, err := store.Load(rank, wave)
+			if err != nil {
+				return epochEnd{rep: &Report{Config: cfg, ReplayWave: -1,
+					ExhaustErr: fmt.Errorf("cluster: rollback to wave %d: %w", wave, err)}}
+			}
+			restart[rank] = b
 		}
-	} else {
-		nw = transport.NewNetwork(layout.Procs(), cfg.Delay)
 	}
+	nw := transport.NewNetwork(layout.Procs(), cfg.Delay)
 	defer nw.Close()
-	det := detect.NewService(nw)
 
 	rs := &runState{
 		cfg:         cfg,
 		layout:      layout,
 		nw:          nw,
-		det:         det,
+		det:         detect.NewService(nw),
 		app:         app,
 		store:       store,
 		fired:       fired,
 		restart:     restart,
-		restartWave: restartWave,
+		restartWave: wave,
 		epoch:       epoch,
 		recovered:   make(map[int]bool),
 		ckptSaved:   make(map[int]map[int]bool),
 		reports:     make([]ProcReport, layout.Procs()),
 		recorders:   make(map[transport.ProcID]*trace.Recorder),
-		logRanks:    logRankVector(cfg, layout),
+		logRanks:    logRankVector(cfg.RecoveryMode, layout),
 		replayWave:  -1,
 	}
 
@@ -844,12 +785,11 @@ func runOnce(cfg Config, layout core.Layout, app AppFunc, store *ckpt.Store, fir
 	// layout's physical-ID space is dense, so every ID names a process
 	// that really exists and the spawn loop launches exactly Σ degrees
 	// goroutines — no phantom slots, reports, or detector traffic.
-	timeout := cfg.timeout()
 	start := time.Now()
 	for i := 0; i < layout.Procs(); i++ {
 		rs.wg.Add(1)
 		rs.spawned.Add(1)
-		go rs.runProc(transport.ProcID(i), nil, nil, nil)
+		go rs.runProc(rs.spec(transport.ProcID(i)), false)
 	}
 
 	done := make(chan struct{})
@@ -860,7 +800,7 @@ func runOnce(cfg Config, layout core.Layout, app AppFunc, store *ckpt.Store, fir
 	timedOut := false
 	select {
 	case <-done:
-	case <-time.After(timeout):
+	case <-time.After(cfg.Timeout):
 		timedOut = true
 		rs.timedOut.Store(true)
 		for i := 0; i < layout.Procs(); i++ {
@@ -872,153 +812,84 @@ func runOnce(cfg Config, layout core.Layout, app AppFunc, store *ckpt.Store, fir
 
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	return &Report{
-		Config:      cfg,
-		Elapsed:     elapsed,
-		Procs:       append([]ProcReport(nil), rs.reports...),
-		Stats:       nw.Stats().Snapshot(),
-		Recorders:   rs.recorders,
-		SDCDetected: rs.sdcTotal,
-		TimedOut:    timedOut,
-		RestartWave: -1,
-		ReplayWave:  -1,
-	}, rs
+	return epochEnd{
+		rep: &Report{
+			Config:      cfg,
+			Elapsed:     elapsed,
+			Procs:       append([]ProcReport(nil), rs.reports...),
+			Stats:       nw.Stats().Snapshot(),
+			Recorders:   rs.recorders,
+			SDCDetected: rs.sdcTotal,
+			TimedOut:    timedOut,
+			Replays:     rs.replays,
+			ReplayWave:  rs.replayWave,
+		},
+		exhausted: rs.exhausted.Load() != 0,
+		rank:      rs.exhaustedRank(),
+	}
 }
 
-// runProc is one physical process's lifetime. For recovered replicas,
-// cloneState and restored carry the §3.4 fork; for a localized relaunch of
-// a logging-enabled rank, replay carries the checkpoint + replay state.
-func (rs *runState) runProc(id transport.ProcID, cloneState *core.CloneState, restored []byte, replay *replaySeed) {
+// spec is the proc-builder input for process id in this epoch: a fresh
+// start, or the epoch's rollback checkpoint when it restarts from a wave.
+func (rs *runState) spec(id transport.ProcID) *procSpec {
+	s := &procSpec{cfg: rs.cfg, layout: rs.layout, nw: rs.nw, det: rs.det, id: id,
+		h: rs, epoch: rs.epoch, store: rs.store, logRanks: rs.logRanks, wave: -1}
+	if rs.restart != nil {
+		s.rollback, s.wave = rs.restart[rs.layout.RankOf(id)], rs.restartWave
+	}
+	if rs.cfg.TraceSends && rs.cfg.Protocol != Native {
+		s.rec = trace.NewRecorder(rs.cfg.KeepEvents)
+		rs.mu.Lock()
+		rs.recorders[id] = s.rec
+		rs.mu.Unlock()
+	}
+	return s
+}
+
+// runProc is one physical process's lifetime. A recovered (forked) or
+// relaunched replica — extra — reports alongside, not instead of, its
+// crashed predecessor.
+func (rs *runState) runProc(s *procSpec, extra bool) {
 	defer rs.wg.Done()
-	rank := rs.layout.RankOf(id)
-	rep := rs.layout.RepOf(id)
-	pr := ProcReport{Proc: id, Rank: rank, Rep: rep}
+	pr := ProcReport{Proc: s.id, Rank: rs.layout.RankOf(s.id), Rep: rs.layout.RepOf(s.id)}
 	start := time.Now()
 
-	doneMarked := false
-	markDone := func() {
-		if !doneMarked {
-			doneMarked = true
-			rs.appDone.Add(1)
-		}
-	}
-
-	defer func() {
-		pr.Elapsed = time.Since(start)
-		if r := recover(); r != nil {
-			if _, ok := mpi.ErrCrashed(r); ok {
-				pr.Crashed = true
-				if rs.logEnabled(rank) && rs.exhausted.Load() == 0 && !rs.timedOut.Load() {
-					// The middle rung: a logging-enabled rank died. Reserve
-					// the relaunch slot before this process releases its
-					// own, so the epoch's WaitGroup can never drain in
-					// between, and relaunch it alone — the survivors keep
-					// their state and replay their logs.
-					rs.wg.Add(1)
-					rs.spawned.Add(1)
-					go rs.relaunchLogged(id)
-				}
-			} else if rank, ok := mpi.ErrExhausted(r); ok {
-				// Not an application error: the recovery ladder's second
-				// rung. Record it for the launcher, which tears this
-				// epoch down and escalates to a rollback restart.
-				rs.noteExhausted(rank)
-			} else {
-				pr.Err = fmt.Errorf("panic: %v", r)
-			}
+	var once sync.Once
+	markDone := func() { once.Do(func() { rs.appDone.Add(1) }) }
+	end := runStack(s, rs.app, func(env *Env) {
+		if env.proto != nil && env.proto.SDCDetected() > 0 {
+			rs.mu.Lock()
+			rs.sdcTotal += env.proto.SDCDetected()
+			rs.mu.Unlock()
 		}
 		markDone()
-		rs.mu.Lock()
-		if cloneState != nil || replay != nil {
-			// A recovered or relaunched replica reports alongside — not
-			// instead of — its crashed predecessor.
-			rs.reports = append(rs.reports, pr)
-		} else {
-			rs.reports[int(id)] = pr
-		}
-		rs.mu.Unlock()
-	}()
-
-	proc := mpi.NewProc(rs.nw, id)
-	if rs.cfg.EagerLimit > 0 {
-		proc.Engine().EagerLimit = rs.cfg.EagerLimit
-	}
-
-	env := &Env{Rank: rank, Rep: rep, h: rs, restored: restored, restoredStep: -1,
-		store: rs.store, logSelf: rs.logEnabled(rank)}
+		drain(env.World.Proc(), func() bool { return rs.appDone.Load() >= rs.spawned.Load() })
+	})
+	pr.Result, pr.Err, pr.Crashed = end.res, end.err, end.crashed
 	switch {
-	case replay != nil:
-		// Localized relaunch: only this rank rolls back, to its own
-		// newest checkpoint wave.
-		env.restored = replay.app
-		env.restoredStep = replay.wave
-	case restored == nil && cloneState == nil && rs.restart != nil:
-		// Rollback epoch: every replica of every rank resumes from the
-		// wave the launcher selected.
-		env.restored = rs.restart[rank]
-		env.restoredStep = rs.restartWave
-	}
-	var protocol mpi.Protocol
-	var replayCollSeq uint64
-	if rs.cfg.Protocol == Native {
-		protocol = mpi.NewNative(proc)
-	} else {
-		opts := core.Options{
-			AckOnWait:     rs.cfg.AckOnWait,
-			SDC:           rs.cfg.SDC,
-			NoAckCoalesce: rs.cfg.NoAckCoalesce,
-			LogDests:      rs.logRanks,
-		}
-		if rs.cfg.TraceSends {
-			rec := trace.NewRecorder(rs.cfg.KeepEvents)
-			rs.mu.Lock()
-			rs.recorders[id] = rec
-			rs.mu.Unlock()
-			opts.SendRecorder = rec.RecordSend
-		}
-		if rs.cfg.Corrupt && rank == rs.cfg.CorruptRank && rep == rs.cfg.CorruptRep {
-			opts.Corrupt = func(dstRank int, seq uint64, data []byte) {
-				if seq == rs.cfg.CorruptSeq && len(data) > 0 {
-					data[0] ^= 0xFF
-				}
-			}
-		}
-		rp := core.NewReplicated(proc, rs.layout, rs.mode(), rs.det, opts)
-		if cloneState != nil {
-			rp.Restore(cloneState)
-		}
-		if replay != nil {
-			v, err := rp.RestoreReplayState(replay.state)
-			if err != nil {
-				// Fail closed: a replay state that validated on disk but
-				// no longer restores means the localized rung is gone.
-				rs.noteExhausted(rank)
-				return
-			}
-			replayCollSeq = v
-			// Announce the relaunch in-band; on this notification every
-			// survivor that emits into world 0 re-adds this process as a
-			// destination and replays its message log.
-			rp.BroadcastRecovered(id)
-		}
-		env.proto = rp
-		protocol = rp
-	}
-	env.World = mpi.NewWorld(proc, protocol, rs.cfg.Ranks)
-	if replay != nil {
-		env.World.SetCollSeq(replayCollSeq)
-	}
-
-	res, err := rs.app(env)
-	pr.Result = res
-	pr.Err = err
-	if env.proto != nil && env.proto.SDCDetected() > 0 {
-		rs.mu.Lock()
-		rs.sdcTotal += env.proto.SDCDetected()
-		rs.mu.Unlock()
+	case end.crashed && rs.logEnabled(pr.Rank) && rs.exhausted.Load() == 0 && !rs.timedOut.Load():
+		// The middle rung: a logging-enabled rank died. Reserve the
+		// relaunch slot before this process releases its own, so the
+		// epoch's WaitGroup can never drain in between, and relaunch it
+		// alone — the survivors keep their state and replay their logs.
+		rs.wg.Add(1)
+		rs.spawned.Add(1)
+		go rs.relaunchLogged(s.id)
+	case end.exhausted >= 0:
+		// Not an application error: the recovery ladder's second rung.
+		// Record it for the launcher, which tears this epoch down and
+		// escalates to a rollback restart.
+		rs.noteExhausted(end.exhausted)
 	}
 	markDone()
-	rs.drain(proc)
+	pr.Elapsed = time.Since(start)
+	rs.mu.Lock()
+	if extra {
+		rs.reports = append(rs.reports, pr)
+	} else {
+		rs.reports[int(s.id)] = pr
+	}
+	rs.mu.Unlock()
 }
 
 // drain keeps the engine responsive after the application body returns —
@@ -1026,12 +897,13 @@ func (rs *runState) runProc(id transport.ProcID, cloneState *core.CloneState, re
 // peer may still need this process's cooperation to finish: most notably,
 // a mirror-protocol rendezvous duplicate arriving after this process's
 // last receive needs its CTS/sink handshake, which only engine progress
-// provides. The drain ends once every launched process has finished (or
-// crashed), or when this process itself is killed.
-func (rs *runState) drain(proc *mpi.Proc) {
+// provides. The drain ends once done reports true — every launched
+// process has finished (or crashed), or the coordinator's shutdown came —
+// or when this process itself is killed.
+func drain(proc *mpi.Proc, done func() bool) {
 	eng := proc.Engine()
 	ep := eng.Endpoint()
-	for rs.appDone.Load() < rs.spawned.Load() {
+	for !done() {
 		if ep.Crashed() {
 			return
 		}
@@ -1041,8 +913,6 @@ func (rs *runState) drain(proc *mpi.Proc) {
 	// One final sweep for anything that raced the last counter update.
 	eng.Progress()
 }
-
-func (rs *runState) mode() core.Mode { return rs.cfg.Protocol.coreMode() }
 
 // stepHook realizes the failure/recovery schedule at an application step
 // boundary.
@@ -1086,13 +956,16 @@ func (rs *runState) stepHook(e *Env, step int, snapshot func() []byte) {
 			panic("cluster: recovery scheduled at a step with no snapshot function")
 		}
 		// §3.4: fork, revive, notify — in this order, with no sends in
-		// between on the substitute.
-		cs := e.proto.ForkFor(dead)
-		appState := snapshot()
+		// between on the substitute. The fork carries the world's
+		// collective sequence so the replacement's next collective lines
+		// up with the survivors'.
+		s := rs.spec(dead)
+		s.fork = e.proto.ForkFor(dead, e.World.CollSeq())
+		s.forkApp = snapshot()
 		rs.nw.Revive(dead)
 		e.proto.BroadcastRecovered(dead)
 		rs.wg.Add(1)
 		rs.spawned.Add(1)
-		go rs.runProc(dead, cs, appState, nil)
+		go rs.runProc(s, true)
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -20,110 +21,6 @@ import (
 // The worker environment contract (the Env* names and their typed
 // accessors) lives in env.go.
 
-// DistConfig describes one distributed run: the same knobs as Config, but
-// executed as real OS processes (one per layout slot) under a
-// coordinator.
-type DistConfig struct {
-	Ranks       int
-	Replication int
-	Protocol    Protocol
-
-	// Failures schedules SIGKILLs: when the victim worker reaches
-	// Step(AtStep) it reports the boundary and the coordinator kills the
-	// process. Events fire at most once across restart epochs.
-	Failures []FailureEvent
-
-	// UnreplicatedRanks and Degrees select partial replication exactly
-	// as in Config: only the replicas the degree vector names are
-	// spawned as OS processes (Σ degrees workers, not r·n).
-	UnreplicatedRanks []int
-	Degrees           []int
-
-	// CheckpointDir is the shared checkpoint store — the rollback medium.
-	// Required for the second rung of the recovery ladder; without it,
-	// replication exhaustion is fatal.
-	CheckpointDir string
-
-	// RecoveryMode picks the ladder shape above substitution, exactly as
-	// in Config: RecoveryLog relaunches a dead degree-1 rank alone (a
-	// single fresh OS process restored from its own newest checkpoint +
-	// replay state, re-fed from the survivors' sender logs) instead of
-	// tearing the whole epoch down.
-	RecoveryMode RecoveryMode
-
-	// WorkerCmd is the argv used to exec one worker (default: this
-	// binary, re-entered in worker mode via the env contract).
-	WorkerCmd []string
-	// WorkerEnv is extra environment for workers (application selection).
-	WorkerEnv []string
-
-	// LogSink receives the line-prefixed stdout/stderr streams of every
-	// worker (default os.Stderr).
-	LogSink io.Writer
-
-	// Timeout is the per-epoch watchdog (default 2 minutes).
-	Timeout time.Duration
-	// HealthTimeout kills a worker whose control connection has been
-	// silent for this long — the liveness probe backing the failure
-	// detector (default 20s; workers ping every 500ms).
-	HealthTimeout time.Duration
-	// RejoinTimeout bounds a localized-replay rejoin handshake's wait for
-	// survivor acks before the registry releases the joiner anyway
-	// (default 10s). Tests shrink it; a timeout increments
-	// sdr_cluster_rejoin_timeouts_total.
-	RejoinTimeout time.Duration
-	// MaxRestarts bounds rollback-restart cycles (default len(Failures)+1).
-	MaxRestarts int
-
-	// NoRing disables the colocated shared-memory ring transport: every
-	// pair stays on loopback TCP. Rings are on by default — in a
-	// single-host run every pair is colocated. RingBytes overrides the
-	// per-pair ring capacity (0 = transport default).
-	NoRing    bool
-	RingBytes int
-}
-
-func (c DistConfig) timeout() time.Duration {
-	if c.Timeout <= 0 {
-		return 2 * time.Minute
-	}
-	return c.Timeout
-}
-
-func (c DistConfig) healthTimeout() time.Duration {
-	if c.HealthTimeout <= 0 {
-		return 20 * time.Second
-	}
-	return c.HealthTimeout
-}
-
-func (c DistConfig) replication() int {
-	if c.Protocol == Native {
-		return 1
-	}
-	if c.Replication <= 0 {
-		return 2
-	}
-	return c.Replication
-}
-
-// layout builds the (possibly degree-aware) replica layout for the run.
-func (c DistConfig) layout() (core.Layout, error) {
-	degrees, err := degreeVector(c.Ranks, c.replication(), c.Degrees, c.UnreplicatedRanks)
-	if err != nil {
-		return core.Layout{}, err
-	}
-	return core.NewLayout(c.Ranks, c.replication(), degrees)
-}
-
-// recoveryLog reports whether the localized-replay rung is armed.
-func (c DistConfig) recoveryLog() bool { return c.RecoveryMode == RecoveryLog }
-
-// validateRecovery mirrors Config.validateRecovery for distributed runs.
-func (c DistConfig) validateRecovery() error {
-	return validateRecoveryMode(c.RecoveryMode, c.Protocol, c.CheckpointDir)
-}
-
 // formatDegrees renders a layout's degree vector for the env contract:
 // comma-separated degrees, or "" for a uniform layout.
 func formatDegrees(l core.Layout) string {
@@ -138,16 +35,6 @@ func formatDegrees(l core.Layout) string {
 	return strings.Join(parts, ",")
 }
 
-// DistProcReport is one worker's outcome in the final epoch.
-type DistProcReport struct {
-	Proc    transport.ProcID
-	Rank    int
-	Rep     int
-	Crashed bool // scheduled SIGKILL realized
-	Err     string
-	Result  WorkerResult
-}
-
 // WorkerResult is the portable application result a distributed worker
 // reports over the control plane (the cross-process counterpart of the
 // in-process report's `any` result).
@@ -155,60 +42,6 @@ type WorkerResult struct {
 	Checksum   float64
 	Residual   float64
 	Iterations int
-}
-
-// DistReport aggregates a distributed run. Like Report, Procs describes
-// the final epoch while Elapsed accumulates across restart epochs.
-type DistReport struct {
-	Ranks       int
-	Replication int
-	Protocol    Protocol
-	Procs       []DistProcReport
-	Elapsed     time.Duration
-	TimedOut    bool
-	Restarts    int
-	RestartWave int
-	// Replays counts localized relaunches (single-worker respawns under
-	// RecoveryLog); ReplayWave is the wave the last one resumed from.
-	Replays    int
-	ReplayWave int
-	ExhaustErr error
-
-	// Trace is the coordinator-side recovery-ladder event chain
-	// (park/kill/detect/replay/rollback); the workers' own events surface
-	// as TRACE lines in the log sink.
-	Trace *obs.Trace
-	// Workers holds the end-of-run /metrics scrape of every worker that
-	// was alive when the final epoch completed.
-	Workers []obs.WorkerStats
-	// EpochsSec is each epoch's wall-clock duration, in order.
-	EpochsSec []float64
-}
-
-// FirstError returns the first failure of the run, if any.
-func (r *DistReport) FirstError() error {
-	if r.TimedOut {
-		return fmt.Errorf("cluster: distributed run timed out")
-	}
-	if r.ExhaustErr != nil {
-		return r.ExhaustErr
-	}
-	for _, p := range r.Procs {
-		if p.Err != "" {
-			return fmt.Errorf("worker %d (rank %d rep %d): %s", p.Proc, p.Rank, p.Rep, p.Err)
-		}
-	}
-	return nil
-}
-
-// ResultOf returns the result reported by replica rep of rank, or nil.
-func (r *DistReport) ResultOf(rank, rep int) *DistProcReport {
-	for i := range r.Procs {
-		if r.Procs[i].Rank == rank && r.Procs[i].Rep == rep {
-			return &r.Procs[i]
-		}
-	}
-	return nil
 }
 
 // coreMode maps a protocol name to the replication scheme.
@@ -225,126 +58,47 @@ func (p Protocol) coreMode() core.Mode {
 
 // RunDistributed executes the application as real OS processes — one per
 // slot of the (possibly degree-aware) layout — and returns the aggregated
-// report. It is the cross-process generalization of
-// Run's epoch loop: the coordinator spawns workers, hands out the
+// report. It runs the same recovery ladder as Run (see ladder); its
+// epochs are OS processes: the coordinator spawns workers, hands out the
 // rendezvous world through the registry, streams their output, SIGKILLs
-// scheduled victims at their reported step boundaries, broadcasts failure
-// notifications, and — when a worker reports replication exhaustion —
-// tears the epoch down and respawns everything from the latest committed
-// checkpoint wave in the shared store.
-func RunDistributed(cfg DistConfig) *DistReport {
-	rep := &DistReport{
-		Ranks:       cfg.Ranks,
-		Replication: cfg.replication(),
-		Protocol:    cfg.Protocol,
-		RestartWave: -1,
-		ReplayWave:  -1,
-		Trace:       obs.NewTrace(),
+// scheduled victims at their reported step boundaries, and broadcasts
+// failure notifications. Config fields that only shape an in-process
+// stack are rejected (see Config.unsupported).
+func RunDistributed(cfg Config) *Report {
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 2 * time.Minute
 	}
-	layout, err := cfg.layout()
-	if err == nil {
-		err = validateSchedule(layout, cfg.Failures, nil)
-	}
-	if err == nil {
-		err = cfg.validateRecovery()
-	}
-	if err != nil {
-		rep.ExhaustErr = err
-		return rep
-	}
-	var store *ckpt.Store
-	if cfg.CheckpointDir != "" {
-		var err error
-		store, err = ckpt.NewStore(cfg.CheckpointDir)
-		if err != nil {
-			rep.ExhaustErr = err
-			return rep
-		}
-	}
-	if len(cfg.WorkerCmd) == 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			rep.ExhaustErr = fmt.Errorf("cluster: cannot locate worker binary: %w", err)
-			return rep
-		}
-		cfg.WorkerCmd = []string{exe}
+	if cfg.HealthTimeout <= 0 {
+		cfg.HealthTimeout = 20 * time.Second
 	}
 	if cfg.LogSink == nil {
 		cfg.LogSink = os.Stderr
 	}
-
+	tr := obs.NewTrace()
+	if err := cfg.unsupported(); err != nil {
+		return rejected(cfg, tr, err)
+	}
+	layout, store, err := cfg.prepare()
+	if err == nil && len(cfg.WorkerCmd) == 0 {
+		var exe string
+		if exe, err = os.Executable(); err != nil {
+			err = fmt.Errorf("cluster: cannot locate worker binary: %w", err)
+		}
+		cfg.WorkerCmd = []string{exe}
+	}
+	if err != nil {
+		return rejected(cfg, tr, err)
+	}
 	fired := make([]bool, len(cfg.Failures))
-	maxRestarts := cfg.MaxRestarts
-	if maxRestarts <= 0 {
-		maxRestarts = len(cfg.Failures) + 1
-	}
-	restartWave := -1
-	for {
-		ep := runDistEpoch(cfg, layout, store, fired, restartWave, rep.Restarts, rep.Trace)
-		rep.Elapsed += ep.elapsed
-		rep.Procs = ep.procs
-		rep.TimedOut = ep.timedOut
-		rep.RestartWave = restartWave
-		rep.Replays += ep.replays
-		rep.Workers = ep.workers
-		rep.EpochsSec = append(rep.EpochsSec, ep.elapsed.Seconds())
+	return ladder(cfg, store, tr, func(wave, epoch int) epochEnd {
+		if epoch > 0 {
+			mRestarts.Inc()
+		}
+		ep := runDistEpoch(cfg, layout, store, fired, wave, epoch, tr)
 		mEpochs.Inc()
-		gEpochMillis.Set(ep.elapsed.Milliseconds())
-		if ep.replays > 0 {
-			rep.ReplayWave = ep.replayWave
-		}
-		if ep.err != nil {
-			rep.ExhaustErr = ep.err
-			return rep
-		}
-		if !ep.exhausted || ep.timedOut {
-			return rep
-		}
-		// Replication exhausted: climb to the rollback rung.
-		if store == nil {
-			rep.ExhaustErr = fmt.Errorf("cluster: replication exhausted and no CheckpointDir is configured for rollback")
-			return rep
-		}
-		if rep.Restarts >= maxRestarts {
-			rep.ExhaustErr = fmt.Errorf("cluster: replication exhausted; restart budget (%d) spent", maxRestarts)
-			return rep
-		}
-		wave, err := store.LatestCommon(cfg.Ranks)
-		if err != nil {
-			rep.ExhaustErr = fmt.Errorf("cluster: rollback checkpoint scan: %w", err)
-			return rep
-		}
-		if wave < 0 {
-			rep.ExhaustErr = fmt.Errorf("cluster: replication exhausted before any committed checkpoint wave")
-			return rep
-		}
-		// Pre-rollback replay states are epoch-relative — drop them so a
-		// logging rank dying in the new epoch fails closed instead of
-		// restoring counters from the torn-down one.
-		if err := store.PruneLogs(); err != nil {
-			rep.ExhaustErr = fmt.Errorf("cluster: rollback to wave %d: %w", wave, err)
-			return rep
-		}
-		restartWave = wave
-		rep.Restarts++
-		mRestarts.Inc()
-		ev := obs.Ev(obs.StageRollback,
-			fmt.Sprintf("epoch torn down; respawning all workers from wave %d", wave))
-		ev.Wave = wave
-		rep.Trace.Emit(ev)
-	}
-}
-
-// distEpoch is one epoch's outcome.
-type distEpoch struct {
-	procs      []DistProcReport
-	elapsed    time.Duration
-	exhausted  bool
-	timedOut   bool
-	replays    int
-	replayWave int
-	workers    []obs.WorkerStats
-	err        error
+		gEpochMillis.Set(ep.rep.Elapsed.Milliseconds())
+		return ep
+	})
 }
 
 // distWorker is the coordinator's handle on one spawned worker process.
@@ -362,19 +116,17 @@ type procExit struct {
 
 // runDistEpoch spawns one full set of workers and runs the epoch's event
 // loop until completion, exhaustion, or the watchdog.
-func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired []bool, wave, epoch int, tr *obs.Trace) distEpoch {
+func runDistEpoch(cfg Config, layout core.Layout, store *ckpt.Store, fired []bool, wave, epoch int, tr *obs.Trace) epochEnd {
 	procs := layout.Procs()
+	failed := func(err error, elapsed time.Duration) epochEnd {
+		return epochEnd{rep: &Report{Config: cfg, Elapsed: elapsed, ReplayWave: -1, ExhaustErr: err}}
+	}
 
-	reg, err := newRegistry(procs, cfg.Ranks, store, cfg.RejoinTimeout)
+	reg, err := newRegistry(procs, cfg.Ranks, store, 0)
 	if err != nil {
-		return distEpoch{err: err}
+		return failed(err, 0)
 	}
 	defer reg.Close()
-	emit := func(ev obs.Event) {
-		if tr != nil {
-			tr.Emit(ev)
-		}
-	}
 
 	sink := &syncWriter{w: cfg.LogSink}
 	exitCh := make(chan procExit, 4*procs)
@@ -400,7 +152,7 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 	// presents as a half-built world instead of a clear answer.
 	fdBudget := uint64(3*procs + 64)
 	if limit, err := transport.EnsureFileLimit(fdBudget); err != nil {
-		return distEpoch{err: fmt.Errorf("cluster: fd preflight for %d workers: %w", procs, err)}
+		return failed(fmt.Errorf("cluster: fd preflight for %d workers: %w", procs, err), 0)
 	} else {
 		fmt.Fprintf(sink, "[coordinator] fd preflight: budget %d for %d workers, soft limit %d\n", fdBudget, procs, limit)
 	}
@@ -415,7 +167,7 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 					_ = prev.cmd.Process.Kill()
 				}
 			}
-			return distEpoch{err: fmt.Errorf("cluster: spawn worker %d: %w", p, err), elapsed: time.Since(start)}
+			return failed(fmt.Errorf("cluster: spawn worker %d: %w", p, err), time.Since(start))
 		}
 		workers[p] = w
 	}
@@ -425,6 +177,7 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 		scheduled  = make(map[int]bool)   // SIGKILL sent for a fired event
 		done       = make(map[int]ctlMsg) // app results
 		exhausted  = false
+		lostRank   = -1 // the rank that lost its last replica, once known
 		timedOut   = false
 		tearing    = false
 		exits      = 0
@@ -433,9 +186,9 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 		replayWave = -1
 		epWorkers  []obs.WorkerStats
 	)
-	logRanks := logRankVector(cfg, layout)
+	logRanks := logRankVector(cfg.RecoveryMode, layout)
 	maxReplays := len(cfg.Failures) + 1
-	watchdog := time.NewTimer(cfg.timeout())
+	watchdog := time.NewTimer(cfg.Timeout)
 	defer watchdog.Stop()
 	health := time.NewTicker(time.Second)
 	defer health.Stop()
@@ -497,7 +250,7 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 			fmt.Fprintf(sink, "[coordinator] worker %d (rank %d): replay budget (%d) spent; global rollback\n", proc, rank, maxReplays)
 			return false
 		}
-		seedWave, err := validateDistReplay(store, rank)
+		seed, err := loadReplay(store, rank)
 		if err != nil {
 			fmt.Fprintf(sink, "[coordinator] worker %d (rank %d): localized replay unavailable (%v); global rollback\n", proc, rank, err)
 			return false
@@ -509,7 +262,7 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 			}
 		}
 		reg.forget(proc)
-		w, err := spawnWorker(cfg, reg.Addr(), layout, proc, fired, wave, epoch, sink, exitCh, seedWave, deadList, ringDir)
+		w, err := spawnWorker(cfg, reg.Addr(), layout, proc, fired, wave, epoch, sink, exitCh, seed.wave, deadList, ringDir)
 		if err != nil {
 			fmt.Fprintf(sink, "[coordinator] relaunch worker %d: %v; global rollback\n", proc, err)
 			return false
@@ -518,19 +271,24 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 		dead[proc] = false
 		spawnTotal++
 		replays++
-		replayWave = seedWave
+		replayWave = seed.wave
 		mReplays.Inc()
 		ev := obs.Ev(obs.StageReplay,
-			fmt.Sprintf("relaunched alone from wave %d; survivors replay their logs", seedWave))
-		ev.Proc, ev.Rank, ev.Wave = proc, rank, seedWave
-		emit(ev)
-		fmt.Fprintf(sink, "[coordinator] worker %d (rank %d) relaunched alone from wave %d; survivors replay their logs\n", proc, rank, seedWave)
+			fmt.Sprintf("relaunched alone from wave %d; survivors replay their logs", seed.wave))
+		ev.Proc, ev.Rank, ev.Wave = proc, rank, seed.wave
+		tr.Emit(ev)
+		fmt.Fprintf(sink, "[coordinator] worker %d (rank %d) relaunched alone from wave %d; survivors replay their logs\n", proc, rank, seed.wave)
 		return true
 	}
 
 	for exits < spawnTotal {
 		select {
 		case ev := <-reg.events:
+			if ev.kind == evExhausted && lostRank < 0 {
+				// Named even mid-teardown: the reporting worker's exit may
+				// have started the teardown before its message was read.
+				lostRank = ev.msg.Rank
+			}
 			if tearing {
 				continue
 			}
@@ -552,7 +310,7 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 				w := workers[ev.proc]
 				pev := obs.Ev(obs.StagePark, "worker parked at scheduled kill boundary")
 				pev.Proc, pev.Rank, pev.Rep, pev.Step = ev.proc, w.rank, w.rep, ev.msg.Step
-				emit(pev)
+				tr.Emit(pev)
 				for i, f := range cfg.Failures {
 					if !fired[i] && f.Rank == w.rank && f.Rep == w.rep && f.AtStep == ev.msg.Step {
 						fired[i] = true
@@ -560,7 +318,7 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 						_ = w.cmd.Process.Kill()
 						kev := obs.Ev(obs.StageKill, "SIGKILL delivered")
 						kev.Proc, kev.Rank, kev.Rep, kev.Step = ev.proc, w.rank, w.rep, ev.msg.Step
-						emit(kev)
+						tr.Emit(kev)
 						break
 					}
 				}
@@ -601,10 +359,10 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 			wk := workers[ex.proc]
 			dev := obs.Ev(obs.StageDetect, "worker process exited; failure broadcast to survivors")
 			dev.Proc, dev.Rank, dev.Rep = ex.proc, wk.rank, wk.rep
-			emit(dev)
+			tr.Emit(dev)
 			if rank := layout.RankOf(transport.ProcID(ex.proc)); logRanks != nil && logRanks[rank] {
 				if !relaunch(ex.proc) {
-					exhausted = true
+					exhausted, lostRank = true, rank
 					teardown()
 				}
 				continue
@@ -616,7 +374,7 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 			if tearing {
 				continue
 			}
-			if p, age := reg.stalest(func(p int) bool { return !dead[p] }); p >= 0 && age > cfg.healthTimeout() {
+			if p, age := reg.stalest(func(p int) bool { return !dead[p] }); p >= 0 && age > cfg.HealthTimeout {
 				// Hung worker: the liveness probe treats it as failed.
 				fmt.Fprintf(sink, "[coordinator] worker %d silent for %v; killing\n", p, age.Round(time.Second))
 				mHealthKills.Inc()
@@ -624,7 +382,7 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 				kev := obs.Ev(obs.StageKill,
 					fmt.Sprintf("liveness probe: control channel silent for %v", age.Round(time.Second)))
 				kev.Proc, kev.Rank, kev.Rep = p, w.rank, w.rep
-				emit(kev)
+				tr.Emit(kev)
 				_ = workers[p].cmd.Process.Kill()
 			}
 		case <-watchdog.C:
@@ -634,40 +392,35 @@ func runDistEpoch(cfg DistConfig, layout core.Layout, store *ckpt.Store, fired [
 	}
 
 	elapsed := time.Since(start)
-	reports := make([]DistProcReport, procs)
+	reports := make([]ProcReport, procs)
 	for p := 0; p < procs; p++ {
 		w := workers[p]
-		pr := DistProcReport{Proc: transport.ProcID(p), Rank: w.rank, Rep: w.rep}
+		pr := ProcReport{Proc: transport.ProcID(p), Rank: w.rank, Rep: w.rep}
 		if m, ok := done[p]; ok {
 			pr.Result = WorkerResult{Checksum: m.Checksum, Residual: m.Residual, Iterations: m.Iterations}
-			pr.Err = m.Err
+			if m.Err != "" {
+				pr.Err = errors.New(m.Err)
+			}
 		} else if scheduled[p] {
 			pr.Crashed = true
 		} else if !timedOut && !exhausted {
-			pr.Err = "worker exited without a result"
+			pr.Err = errors.New("worker exited without a result")
 		}
 		reports[p] = pr
 	}
-	return distEpoch{procs: reports, elapsed: elapsed, exhausted: exhausted, timedOut: timedOut,
-		replays: replays, replayWave: replayWave, workers: epWorkers}
-}
-
-// validateDistReplay checks rank's newest (checkpoint, replay-state) pair
-// in the shared store — the same pre-flight the in-process launcher runs
-// (loadReplay) — returning the wave a localized relaunch may restore from.
-func validateDistReplay(store *ckpt.Store, rank int) (int, error) {
-	seed, err := loadReplay(store, rank)
-	if err != nil {
-		return -1, err
+	return epochEnd{
+		rep: &Report{Config: cfg, Elapsed: elapsed, Procs: reports, TimedOut: timedOut,
+			Replays: replays, ReplayWave: replayWave, Workers: epWorkers},
+		exhausted: exhausted,
+		rank:      lostRank,
 	}
-	return seed.wave, nil
 }
 
 // spawnWorker execs one worker process with the env contract filled in and
 // its output streamed line-by-line to the sink. replayWave >= 0 marks a
 // localized-replay relaunch (the worker restores that wave and announces
 // itself in-band); deadProcs lists workers already dead at spawn time.
-func spawnWorker(cfg DistConfig, regAddr string, layout core.Layout, proc int, fired []bool, wave, epoch int, sink io.Writer, exitCh chan<- procExit, replayWave int, deadProcs []int, ringDir string) (*distWorker, error) {
+func spawnWorker(cfg Config, regAddr string, layout core.Layout, proc int, fired []bool, wave, epoch int, sink io.Writer, exitCh chan<- procExit, replayWave int, deadProcs []int, ringDir string) (*distWorker, error) {
 	rank := layout.RankOf(transport.ProcID(proc))
 	rep := layout.RepOf(transport.ProcID(proc))
 
@@ -703,9 +456,6 @@ func spawnWorker(cfg DistConfig, regAddr string, layout core.Layout, proc int, f
 		EnvDead+"="+strings.Join(deads, ","),
 		EnvRing+"="+ringDir,
 	)
-	if cfg.RingBytes > 0 {
-		cmd.Env = append(cmd.Env, fmt.Sprintf("%s=%d", EnvRingBytes, cfg.RingBytes))
-	}
 	prefix := fmt.Sprintf("[r%d.%d] ", rank, rep)
 	stdout := &lineWriter{w: sink, prefix: prefix}
 	stderr := &lineWriter{w: sink, prefix: prefix}

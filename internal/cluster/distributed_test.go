@@ -195,7 +195,7 @@ func TestDistributedRollbackRealProcesses(t *testing.T) {
 		t.Skip("spawns real worker processes")
 	}
 	const steps = 12
-	rep := RunDistributed(DistConfig{
+	rep := RunDistributed(Config{
 		Ranks:       2,
 		Replication: 2,
 		Protocol:    SDR,
@@ -226,8 +226,8 @@ func TestDistributedRollbackRealProcesses(t *testing.T) {
 			t.Errorf("rank %d rep %d: crashed in the final epoch", p.Rank, p.Rep)
 			continue
 		}
-		if p.Result.Checksum != want {
-			t.Errorf("rank %d rep %d: checksum %v, fault-free run computes %v", p.Rank, p.Rep, p.Result.Checksum, want)
+		if p.Result.(WorkerResult).Checksum != want {
+			t.Errorf("rank %d rep %d: checksum %v, fault-free run computes %v", p.Rank, p.Rep, p.Result.(WorkerResult).Checksum, want)
 		}
 	}
 }
@@ -241,7 +241,7 @@ func TestDistributedPartialReplicationSubstitution(t *testing.T) {
 		t.Skip("spawns real worker processes")
 	}
 	const steps = 12
-	rep := RunDistributed(DistConfig{
+	rep := RunDistributed(Config{
 		Ranks:             2,
 		Replication:       2,
 		Protocol:          SDR,
@@ -270,8 +270,8 @@ func TestDistributedPartialReplicationSubstitution(t *testing.T) {
 			killed++
 			continue
 		}
-		if p.Result.Checksum != want {
-			t.Errorf("rank %d rep %d: checksum %v, want %v", p.Rank, p.Rep, p.Result.Checksum, want)
+		if p.Result.(WorkerResult).Checksum != want {
+			t.Errorf("rank %d rep %d: checksum %v, want %v", p.Rank, p.Rep, p.Result.(WorkerResult).Checksum, want)
 		}
 	}
 	if killed != 1 {
@@ -289,7 +289,7 @@ func TestDistributedPartialUnreplicatedKillRollsBack(t *testing.T) {
 		t.Skip("spawns real worker processes")
 	}
 	const steps = 12
-	rep := RunDistributed(DistConfig{
+	rep := RunDistributed(Config{
 		Ranks:             2,
 		Replication:       2,
 		Protocol:          SDR,
@@ -320,8 +320,8 @@ func TestDistributedPartialUnreplicatedKillRollsBack(t *testing.T) {
 			t.Errorf("rank %d rep %d: crashed in the final epoch", p.Rank, p.Rep)
 			continue
 		}
-		if p.Result.Checksum != want {
-			t.Errorf("rank %d rep %d: checksum %v, want %v", p.Rank, p.Rep, p.Result.Checksum, want)
+		if p.Result.(WorkerResult).Checksum != want {
+			t.Errorf("rank %d rep %d: checksum %v, want %v", p.Rank, p.Rep, p.Result.(WorkerResult).Checksum, want)
 		}
 	}
 }
@@ -369,7 +369,7 @@ func TestDistributedHealthProbeKillsHungWorker(t *testing.T) {
 	const silentProc = 3 // rank 1, rep 1 in the dense 2x2 layout
 	killsBefore := mHealthKills.Value()
 	var sink bytes.Buffer
-	rep := RunDistributed(DistConfig{
+	rep := RunDistributed(Config{
 		Ranks:         2,
 		Replication:   2,
 		Protocol:      SDR,
@@ -389,17 +389,17 @@ func TestDistributedHealthProbeKillsHungWorker(t *testing.T) {
 	want := float64(wantPingPong(steps))
 	for _, p := range rep.Procs {
 		if int(p.Proc) == silentProc {
-			if p.Err == "" {
+			if p.Err == nil {
 				t.Errorf("silent worker reported a result: %+v", p)
 			}
 			continue
 		}
-		if p.Err != "" {
-			t.Errorf("rank %d rep %d: %s", p.Rank, p.Rep, p.Err)
+		if p.Err != nil {
+			t.Errorf("rank %d rep %d: %v", p.Rank, p.Rep, p.Err)
 			continue
 		}
-		if p.Result.Checksum != want {
-			t.Errorf("rank %d rep %d: checksum %v, want %v", p.Rank, p.Rep, p.Result.Checksum, want)
+		if p.Result.(WorkerResult).Checksum != want {
+			t.Errorf("rank %d rep %d: checksum %v, want %v", p.Rank, p.Rep, p.Result.(WorkerResult).Checksum, want)
 		}
 	}
 	if !strings.Contains(sink.String(), "silent for") {
@@ -426,7 +426,7 @@ func TestDistributedSurvivesSingleReplicaKill(t *testing.T) {
 		t.Skip("spawns real worker processes")
 	}
 	const steps = 12
-	rep := RunDistributed(DistConfig{
+	rep := RunDistributed(Config{
 		Ranks:       2,
 		Replication: 2,
 		Protocol:    SDR,
@@ -451,8 +451,8 @@ func TestDistributedSurvivesSingleReplicaKill(t *testing.T) {
 			killed++
 			continue
 		}
-		if p.Result.Checksum != want {
-			t.Errorf("rank %d rep %d: checksum %v, want %v", p.Rank, p.Rep, p.Result.Checksum, want)
+		if p.Result.(WorkerResult).Checksum != want {
+			t.Errorf("rank %d rep %d: checksum %v, want %v", p.Rank, p.Rep, p.Result.(WorkerResult).Checksum, want)
 		}
 	}
 	if killed != 1 {

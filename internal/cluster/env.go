@@ -59,7 +59,7 @@ const (
 	EnvDead = "SDR_DIST_DEAD"
 	// EnvApp is the application name a worker instantiates — the
 	// app-selection side of the contract, set by cmd/sdrun's coordinator
-	// through DistConfig.WorkerEnv.
+	// through Config.WorkerEnv.
 	EnvApp = "SDR_DIST_APP"
 	// EnvScale is the application scale knob paired with EnvApp.
 	EnvScale = "SDR_DIST_SCALE"
@@ -70,9 +70,6 @@ const (
 	// rollback respawns workers against a fresh directory, so no torn
 	// ring stream survives an incarnation change.
 	EnvRing = "SDR_DIST_RING"
-	// EnvRingBytes overrides the per-pair ring capacity in bytes (unset
-	// means transport.DefaultRingBytes).
-	EnvRingBytes = "SDR_DIST_RING_BYTES"
 )
 
 // envKind types one contract variable for documentation and accessor
@@ -97,24 +94,23 @@ type envSpec struct {
 // rawEnv panics on names missing from it, so an undeclared read fails
 // loudly even if it slips past sdrlint.
 var envContract = map[string]envSpec{
-	EnvWorker:    {envFlag, "selects the hidden worker mode"},
-	EnvRegistry:  {envString, "rendezvous registry address host:port"},
-	EnvProc:      {envInt, "physical process ID of this worker"},
-	EnvRanks:     {envInt, "logical world size n"},
-	EnvRepl:      {envInt, "maximum replication degree r"},
-	EnvDegrees:   {envIntList, "per-rank replication degree vector"},
-	EnvProtocol:  {envString, "protocol name: native|sdr|mirror|leader"},
-	EnvCkptDir:   {envString, "shared checkpoint directory"},
-	EnvWave:      {envInt, "committed wave to restore, -1 fresh"},
-	EnvEpoch:     {envInt, "restart epoch index"},
-	EnvKills:     {envIntList, "step numbers to park at awaiting SIGKILL"},
-	EnvRecovery:  {envString, "recovery mode: rollback|log"},
-	EnvReplay:    {envIntOpt, "localized-replay restore wave, unset normally"},
-	EnvDead:      {envIntList, "procs already dead at spawn time"},
-	EnvApp:       {envString, "application name (cmd/sdrun extension)"},
-	EnvScale:     {envInt, "application scale knob (cmd/sdrun extension)"},
-	EnvRing:      {envString, "per-epoch colocated ring directory, empty disables"},
-	EnvRingBytes: {envIntOpt, "per-pair ring capacity bytes, unset = default"},
+	EnvWorker:   {envFlag, "selects the hidden worker mode"},
+	EnvRegistry: {envString, "rendezvous registry address host:port"},
+	EnvProc:     {envInt, "physical process ID of this worker"},
+	EnvRanks:    {envInt, "logical world size n"},
+	EnvRepl:     {envInt, "maximum replication degree r"},
+	EnvDegrees:  {envIntList, "per-rank replication degree vector"},
+	EnvProtocol: {envString, "protocol name: native|sdr|mirror|leader"},
+	EnvCkptDir:  {envString, "shared checkpoint directory"},
+	EnvWave:     {envInt, "committed wave to restore, -1 fresh"},
+	EnvEpoch:    {envInt, "restart epoch index"},
+	EnvKills:    {envIntList, "step numbers to park at awaiting SIGKILL"},
+	EnvRecovery: {envString, "recovery mode: rollback|log"},
+	EnvReplay:   {envIntOpt, "localized-replay restore wave, unset normally"},
+	EnvDead:     {envIntList, "procs already dead at spawn time"},
+	EnvApp:      {envString, "application name (cmd/sdrun extension)"},
+	EnvScale:    {envInt, "application scale knob (cmd/sdrun extension)"},
+	EnvRing:     {envString, "per-epoch colocated ring directory, empty disables"},
 }
 
 // rawEnv is the single chokepoint over os.Getenv for contract variables.

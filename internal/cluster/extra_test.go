@@ -63,24 +63,6 @@ func TestTripleReplicationSurvivesTwoFailures(t *testing.T) {
 	}
 }
 
-func TestRunOverTCPWire(t *testing.T) {
-	// The whole stack over real loopback TCP connections.
-	rep := Run(Config{Ranks: 3, Protocol: SDR, UseTCP: true, Timeout: 60 * time.Second},
-		ringApp(3))
-	if err := rep.FirstError(); err != nil {
-		t.Fatal(err)
-	}
-	var want any
-	for _, p := range rep.Procs {
-		if want == nil {
-			want = p.Result
-		}
-		if p.Result != want {
-			t.Errorf("TCP run: rank %d rep %d got %v want %v", p.Rank, p.Rep, p.Result, want)
-		}
-	}
-}
-
 func TestWatchdogTimesOutHungRun(t *testing.T) {
 	rep := Run(Config{Ranks: 2, Protocol: SDR, Timeout: 500 * time.Millisecond},
 		func(env *Env) (any, error) {

@@ -94,7 +94,7 @@ func TestDistributedRejectsKillOfPrunedReplica(t *testing.T) {
 	// A -kill naming a replica the degree vector prunes must fail fast:
 	// silently never firing would make the fault-injection run pass
 	// without injecting anything.
-	rep := RunDistributed(DistConfig{
+	rep := RunDistributed(Config{
 		Ranks: 2, Replication: 2, Protocol: SDR,
 		UnreplicatedRanks: []int{1},
 		Failures:          []FailureEvent{{Rank: 1, Rep: 1, AtStep: 2}},

@@ -41,13 +41,9 @@ type WorkerConfig struct {
 
 	// RingDir is the coordinator-created per-epoch directory for the
 	// colocated shared-memory ring transport; empty keeps every pair on
-	// TCP. RingBytes overrides the per-pair ring capacity (0 = default).
-	RingDir   string
-	RingBytes int
+	// TCP.
+	RingDir string
 }
-
-// recoveryLog reports whether the localized-replay rung is armed.
-func (c WorkerConfig) recoveryLog() bool { return c.RecoveryMode == RecoveryLog }
 
 // DistWorkerActive reports whether this process was exec'd as a
 // distributed worker (the hidden mode commands enter before flag parsing).
@@ -107,9 +103,6 @@ func WorkerConfigFromEnv() (WorkerConfig, error) {
 		return cfg, err
 	}
 	cfg.RingDir = EnvString(EnvRing)
-	if cfg.RingBytes, err = EnvIntOr(EnvRingBytes, 0); err != nil {
-		return cfg, err
-	}
 	if cfg.Registry == "" {
 		return cfg, fmt.Errorf("cluster: %s not set", EnvRegistry)
 	}
@@ -142,10 +135,6 @@ type workerState struct {
 func (ws *workerState) noteCkpt(rank, step int) error {
 	return ws.cc.send(ctlMsg{Op: opCkpt, Rank: rank, Step: step})
 }
-
-func (ws *workerState) numRanks() int { return ws.cfg.Ranks }
-
-func (ws *workerState) epochIndex() int { return ws.cfg.Epoch }
 
 // stepHook realizes the kill schedule: at a scheduled boundary the worker
 // tells the coordinator it is parked and blocks until the SIGKILL lands —
@@ -260,7 +249,7 @@ func RunWorker(cfg WorkerConfig, app AppFunc) int {
 		for p, h := range world.Hosts {
 			colocated[p] = h == host && transport.ProcID(p) != cfg.Proc
 		}
-		pw.SetRingPeers(transport.RingConfig{Dir: cfg.RingDir, Bytes: cfg.RingBytes}, colocated)
+		pw.SetRingPeers(transport.RingConfig{Dir: cfg.RingDir}, colocated)
 	}
 	for _, p := range cfg.DeadProcs {
 		pendingDead = append(pendingDead, transport.ProcID(p))
@@ -340,115 +329,68 @@ func RunWorker(cfg WorkerConfig, app AppFunc) int {
 	// itself responsible for persisting its replay state with each
 	// checkpoint wave. Same rule as the in-process launcher and the
 	// coordinator — logRankVector keeps the three in lockstep.
-	logDests := logRankVector(cfg, layout)
-
-	proc := mpi.NewProc(nw, cfg.Proc)
-	env := &Env{Rank: rank, Rep: rep, h: ws, restoredStep: -1, store: store,
-		logSelf: logDests != nil && logDests[rank]}
+	spec := &procSpec{cfg: Config{Ranks: cfg.Ranks, Protocol: cfg.Protocol}, layout: layout, nw: nw,
+		id: cfg.Proc, h: ws, epoch: cfg.Epoch, store: store, wave: -1,
+		logRanks: logRankVector(cfg.RecoveryMode, layout)}
+	exhausted := func(rank int) int {
+		// Second rung of the recovery ladder: report and exit with the
+		// exhaustion code; the coordinator tears the epoch down and
+		// respawns everyone from the latest committed wave.
+		_ = cc.send(ctlMsg{Op: opExhausted, Rank: rank})
+		return workerExitExhausted
+	}
 	switch {
 	case cfg.ReplayWave >= 0:
 		// Localized-replay relaunch: this worker alone rolls back, to its
-		// own newest checkpoint wave; the protocol state is restored below
-		// once the replicated layer exists.
-		if store == nil {
-			return fail(fmt.Errorf("localized replay without a checkpoint store"))
-		}
-		b, err := store.Load(rank, cfg.ReplayWave)
+		// own newest checkpoint wave. A pair that no longer validates fails
+		// CLOSED: the coordinator takes the global-rollback rung.
+		seed, err := loadReplay(store, rank)
 		if err != nil {
-			_ = cc.send(ctlMsg{Op: opExhausted, Rank: rank})
-			return workerExitExhausted
+			fmt.Fprintf(os.Stderr, "worker %d: replay state unusable: %v\n", cfg.Proc, err)
+			return exhausted(rank)
 		}
-		env.restored = b
-		env.restoredStep = cfg.ReplayWave
+		spec.replay = seed
 	case cfg.RestartWave >= 0 && store != nil:
 		b, err := store.Load(rank, cfg.RestartWave)
 		if err != nil {
 			return fail(fmt.Errorf("rollback restore wave %d: %w", cfg.RestartWave, err))
 		}
-		env.restored = b
-		env.restoredStep = cfg.RestartWave
-	}
-	var protocol mpi.Protocol
-	var replayCollSeq uint64
-	if cfg.Protocol == Native {
-		protocol = mpi.NewNative(proc)
-	} else {
-		rp := core.NewReplicated(proc, layout, cfg.Protocol.coreMode(), nil, core.Options{LogDests: logDests})
-		if cfg.ReplayWave >= 0 {
-			// Restore the sequence counters and buffered messages the
-			// checkpoint captured, then announce the relaunch in-band so
-			// the survivors replay their sender logs. A state that fails
-			// to decode fails CLOSED: report exhaustion and let the
-			// coordinator take the global-rollback rung.
-			state, err := store.LoadLog(rank, cfg.ReplayWave)
-			if err == nil {
-				replayCollSeq, err = rp.RestoreReplayState(state)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "worker %d: replay state unusable: %v\n", cfg.Proc, err)
-				_ = cc.send(ctlMsg{Op: opExhausted, Rank: rank})
-				return workerExitExhausted
-			}
-			rp.BroadcastRecovered(cfg.Proc)
-		}
-		env.proto = rp
-		protocol = rp
-	}
-	env.World = mpi.NewWorld(proc, protocol, cfg.Ranks)
-	if cfg.ReplayWave >= 0 {
-		env.World.SetCollSeq(replayCollSeq)
+		spec.rollback, spec.wave = b, cfg.RestartWave
 	}
 
-	// Run the application, catching the library's typed unwinds.
-	exhaustedRank := -1
-	res, appErr := func() (res any, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				if rk, ok := mpi.ErrExhausted(r); ok {
-					exhaustedRank = rk
-				} else if _, ok := mpi.ErrCrashed(r); ok {
-					err = fmt.Errorf("worker observed its own crash flag")
-				} else {
-					err = fmt.Errorf("panic: %v", r)
-				}
-			}
-		}()
-		return app(env)
-	}()
-	if exhaustedRank >= 0 {
-		// Second rung of the recovery ladder: report and exit with the
-		// exhaustion code; the coordinator tears the epoch down and
-		// respawns everyone from the latest committed wave.
-		_ = cc.send(ctlMsg{Op: opExhausted, Rank: exhaustedRank})
-		return workerExitExhausted
+	var proc *mpi.Proc
+	end := runStack(spec, app, func(env *Env) { proc = env.World.Proc() })
+	if end.exhausted >= 0 {
+		return exhausted(end.exhausted)
+	}
+	if end.crashed {
+		end.err = fmt.Errorf("worker observed its own crash flag")
+	}
+	if proc == nil {
+		return fail(end.err) // the stack unwound before the application ran
 	}
 
 	doneMsg := ctlMsg{Op: opDone, Proc: int(cfg.Proc)}
-	if wr, ok := res.(WorkerResult); ok {
+	if wr, ok := end.res.(WorkerResult); ok {
 		doneMsg.Checksum = wr.Checksum
 		doneMsg.Residual = wr.Residual
 		doneMsg.Iterations = wr.Iterations
 	}
-	if appErr != nil {
-		doneMsg.Err = appErr.Error()
+	if end.err != nil {
+		doneMsg.Err = end.err.Error()
 	}
 	if err := cc.send(doneMsg); err != nil {
 		return fail(fmt.Errorf("report result: %w", err))
 	}
 
-	// Drain until the coordinator's shutdown: a peer may still need this
-	// engine's cooperation (rendezvous handshakes, acks) to finish — the
-	// distributed counterpart of runState.drain.
-	eng := proc.Engine()
-	ep := eng.Endpoint()
-	for {
+	// Drain until the coordinator's shutdown.
+	drain(proc, func() bool {
 		select {
 		case <-shutdown:
-			eng.Progress()
-			return 0
+			return true
 		default:
+			return false
 		}
-		eng.Progress()
-		ep.WaitActivity(200 * time.Microsecond)
-	}
+	})
+	return 0
 }

@@ -27,14 +27,19 @@ type CloneState struct {
 	RecvNext   map[seqKey]uint64
 	Pending    map[seqKey][]*transport.Message
 	Unexpected []*transport.Message
+	// CollSeq is the substitute's world-communicator collective sequence
+	// at the fork: the replacement resumes at the same step, so its next
+	// world collective must carry the same sequence number.
+	CollSeq uint64
 }
 
 // ForkFor snapshots this (substitute) process's protocol state for the
 // replica being recovered. It must be called at a quiescent point: every
 // send and receive request completed, which implies an empty retention
 // buffer. It must be followed by BroadcastRecovered before any further
-// application send.
-func (p *Replicated) ForkFor(revived transport.ProcID) *CloneState {
+// application send. collSeq is the substitute's world CollSeq at the fork
+// point.
+func (p *Replicated) ForkFor(revived transport.ProcID, collSeq uint64) *CloneState {
 	if p.layout.Degree(p.myRank) != 2 {
 		panic("core: recovery requires replication degree 2 (paper §3.4)")
 	}
@@ -49,6 +54,7 @@ func (p *Replicated) ForkFor(revived transport.ProcID) *CloneState {
 		SendSeq:  p.sendSeq.snapshot(),
 		RecvNext: p.recvSeq.snapshot(),
 		Pending:  make(map[seqKey][]*transport.Message),
+		CollSeq:  collSeq,
 	}
 	p.recvSeq.forEachStash(func(ctx uint32, rank int, st *seqStash) {
 		// Deep-copy: the substitute keeps consuming (and recycling) its

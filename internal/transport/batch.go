@@ -8,7 +8,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Outbound batching for the socket-backed wires (PeerWire, TCPWire).
+// Outbound batching for the socket-backed wire (PeerWire).
 //
 // Deliver no longer pays a syscall per message: frames are staged per
 // destination and emitted as one net.Buffers vectored write (writev) at a
@@ -55,14 +55,12 @@ func SetBatchLimits(frames, bytes int, age time.Duration) (restore func()) {
 	return func() { batchMaxFrames, batchMaxBytes, batchMaxAge = pf, pb, pa }
 }
 
-// outBatch is the staged outbound traffic for one destination (PeerWire)
-// or one ordered pair (TCPWire). The mutex is held across the vectored
-// write that empties the batch: staging and flushing serialize per
-// destination, which is what preserves per ordered-pair FIFO across flush
-// boundaries.
+// outBatch is the staged outbound traffic for one destination. The mutex
+// is held across the vectored write that empties the batch: staging and
+// flushing serialize per destination, which is what preserves per
+// ordered-pair FIFO across flush boundaries.
 type outBatch struct {
 	// sdr:lockrank batch < ringio < peer
-	// sdr:lockrank batch < tcpwire
 	// sdr:lockrank batch < conn
 	mu     sync.Mutex
 	frames []*Message // guarded by mu

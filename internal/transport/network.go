@@ -112,9 +112,9 @@ func NewNetwork(n int, delay *DelayModel) *Network {
 }
 
 // installWire installs the delivery mechanism. It is unexported by design:
-// wires are injected at construction (NewTCPWire, NewPeerWire, or the
-// combined NewTCPNetwork/NewPeerNetwork constructors), never swapped on a
-// network that already carried traffic — the old exported SetWire made
+// wires are injected at construction (NewPeerWire or the combined
+// NewPeerNetwork constructor), never swapped on a network that already
+// carried traffic — the old exported SetWire made
 // that mutate-after-construct mistake expressible, and silently dropped
 // any frames the previous wire still had staged.
 func (nw *Network) installWire(w Wire) {

@@ -15,7 +15,7 @@ import (
 	"time"
 )
 
-// Dialing policy shared by the TCP wires. A dead remote peer must never
+// Dialing policy of the peer wire. A dead remote peer must never
 // hang a sender forever: every dial carries a hard timeout, and the retry
 // loop is bounded — after it, the message is treated as fallen off the
 // wire (fail-stop) or the error surfaces to the caller.
@@ -71,11 +71,10 @@ type RingConfig struct {
 	Bytes int
 }
 
-// PeerWire is the distributed-mode transport: one instance lives in each
-// worker OS process, listens on its own port for inbound traffic, and
-// dials its *peers'* listeners (looked up in the rendezvous table the
-// registry distributed) — in contrast to TCPWire, whose every connection
-// loops back to its own listener inside a single process.
+// PeerWire is the socket transport: one instance lives in each worker OS
+// process, listens on its own port for inbound traffic, and dials its
+// *peers'* listeners (looked up in the rendezvous table the registry
+// distributed).
 //
 // Outbound traffic is batch-first: Deliver stages frames per destination
 // and Flush emits each staged batch as one net.Buffers vectored write (or
@@ -134,6 +133,15 @@ type PeerWire struct {
 	wg        sync.WaitGroup
 }
 
+// tcpConn is one established outbound stream to a peer. The scratch is
+// the per-connection vectored-write assembly area, guarded by mu together
+// with the socket itself.
+type tcpConn struct {
+	mu      sync.Mutex // sdr:lockrank conn
+	c       net.Conn
+	scratch batchScratch // guarded by mu
+}
+
 // NewPeerWire creates a peer wire for local process self, listening on
 // listenAddr (host:0 picks a free port), and installs it on the network
 // (constructor injection; there is no post-construction wire swap). Peer
@@ -148,6 +156,12 @@ func NewPeerWire(nw *Network, self ProcID, listenAddr string) (*PeerWire, error)
 	if err != nil {
 		return nil, fmt.Errorf("transport: peer wire listen: %w", err)
 	}
+	return newPeerWire(nw, self, ln), nil
+}
+
+// newPeerWire builds the wire around an already bound listener and starts
+// its accept and flush loops.
+func newPeerWire(nw *Network, self ProcID, ln net.Listener) *PeerWire {
 	pw := &PeerWire{
 		nw:      nw,
 		self:    self,
@@ -167,7 +181,7 @@ func NewPeerWire(nw *Network, self ProcID, listenAddr string) (*PeerWire, error)
 	pw.wg.Add(1)
 	go pw.flushLoop()
 	nw.installWire(pw)
-	return pw, nil
+	return pw
 }
 
 // NewPeerNetwork builds a full-size network whose only live endpoint is
@@ -327,7 +341,10 @@ func (pw *PeerWire) acceptLoop() {
 			if errors.Is(err, net.ErrClosed) {
 				return
 			}
-			// Transient accept failure: back off and keep the listener.
+			// Transient accept failure (ECONNABORTED, EMFILE, ...): a
+			// single error must not silently kill the listener for the
+			// rest of the run. Back off — doubling so a persistent error
+			// does not become a busy loop — and keep accepting.
 			time.Sleep(backoff)
 			if backoff < time.Second {
 				backoff *= 2

@@ -2,6 +2,9 @@ package transport
 
 import (
 	"bufio"
+	"errors"
+	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -213,5 +216,75 @@ func TestDialRetryReportsLastError(t *testing.T) {
 	// 3 refused dials + 25ms + 50ms backoff ≈ well under a second.
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("dialRetry took %v; retry budget is not bounded", elapsed)
+	}
+}
+
+// flakyListener wraps a real listener, failing the first `failures` Accept
+// calls with a transient (non-closed) error.
+type flakyListener struct {
+	net.Listener
+	failures int
+}
+
+func (f *flakyListener) Accept() (net.Conn, error) {
+	if f.failures > 0 {
+		f.failures--
+		return nil, fmt.Errorf("accept: %w", errTransient)
+	}
+	return f.Listener.Accept()
+}
+
+var errTransient = errors.New("transient accept failure")
+
+func TestPeerWireAcceptLoopRetriesTransientError(t *testing.T) {
+	// A transient Accept error (ECONNABORTED, EMFILE, ...) must not kill
+	// the listener for the rest of the run: later dials still connect and
+	// messages still flow.
+	nw0, nw1 := NewNetwork(2, nil), NewNetwork(2, nil)
+	pw0, err := NewPeerWire(nw0, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pw1 := newPeerWire(nw1, 1, &flakyListener{Listener: ln, failures: 3})
+	t.Cleanup(func() {
+		pw0.Close()
+		pw1.Close()
+		nw0.Close()
+		nw1.Close()
+	})
+	pw0.SetPeers([]string{pw0.Addr(), pw1.Addr()})
+
+	if err := nw0.Endpoint(0).Send(&Message{Dst: 1, Kind: KindEager, Data: []byte("through")}); err != nil {
+		t.Fatal(err)
+	}
+	m := recvOne(t, nw1.Endpoint(1), 5*time.Second)
+	if string(m.Data) != "through" {
+		t.Fatalf("payload = %q", m.Data)
+	}
+	FreeMessage(m)
+}
+
+func TestPeerWireCloseStopsAcceptLoop(t *testing.T) {
+	// Shutdown must still terminate the loop (not spin retrying the
+	// closed listener).
+	nw := NewNetwork(2, nil)
+	defer nw.Close()
+	pw, err := NewPeerWire(nw, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		pw.Close() // waits on pw.wg: hangs forever if acceptLoop spins
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not stop the accept loop")
 	}
 }
