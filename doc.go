@@ -164,6 +164,15 @@
 // BenchmarkSequencer track the result as a committed 8–256-rank curve
 // (BENCH_PR10.json).
 //
+// Finalize is event-driven. A process whose application body returned
+// keeps its engine progressing (cluster's drain, the MPI_Finalize role)
+// while parked in transport.Endpoint.WaitUntil, whose level-triggered stop
+// predicate is re-checked under the wake lock before every park; the
+// process that completes the launch, or the worker's control plane on
+// shutdown, wakes the endpoints. Teardown therefore has no timer floor,
+// and timed WaitActivity calls are woken by a deadline timer instead of a
+// polling sleep.
+//
 // Entry points: cmd/sdrbench regenerates the paper's artifacts by
 // experiment id, cmd/netpipe runs the ping-pong sweep, cmd/faultdemo
 // narrates crash + substitution, and examples/ holds small applications.

@@ -692,7 +692,7 @@ func loadReplay(store *ckpt.Store, rank int) (*replaySeed, error) {
 func (rs *runState) relaunchLogged(dead transport.ProcID) {
 	rank := rs.layout.RankOf(dead)
 	bail := func() {
-		rs.appDone.Add(1)
+		rs.finish()
 		rs.wg.Done()
 	}
 	seed, err := loadReplay(rs.store, rank)
@@ -855,7 +855,7 @@ func (rs *runState) runProc(s *procSpec, extra bool) {
 	start := time.Now()
 
 	var once sync.Once
-	markDone := func() { once.Do(func() { rs.appDone.Add(1) }) }
+	markDone := func() { once.Do(rs.finish) }
 	end := runStack(s, rs.app, func(env *Env) {
 		if env.proto != nil && env.proto.SDCDetected() > 0 {
 			rs.mu.Lock()
@@ -863,7 +863,7 @@ func (rs *runState) runProc(s *procSpec, extra bool) {
 			rs.mu.Unlock()
 		}
 		markDone()
-		drain(env.World.Proc(), func() bool { return rs.appDone.Load() >= rs.spawned.Load() })
+		drain(env.World.Proc(), rs.allDone)
 	})
 	pr.Result, pr.Err, pr.Crashed = end.res, end.err, end.crashed
 	switch {
@@ -892,6 +892,23 @@ func (rs *runState) runProc(s *procSpec, extra bool) {
 	rs.mu.Unlock()
 }
 
+// allDone is the in-process drain's stop condition: every launched
+// process has finished its application body (or crashed).
+func (rs *runState) allDone() bool { return rs.appDone.Load() >= rs.spawned.Load() }
+
+// finish counts one more process whose application body has returned (or
+// unwound, or whose relaunch bailed). The call that makes allDone true
+// wakes every endpoint, so each drain parked in WaitUntil re-checks it at
+// once: finalize is event-driven, with no timer floor.
+func (rs *runState) finish() {
+	rs.appDone.Add(1)
+	if rs.allDone() {
+		for i := 0; i < rs.nw.Size(); i++ {
+			rs.nw.Endpoint(transport.ProcID(i)).Wake()
+		}
+	}
+}
+
 // drain keeps the engine responsive after the application body returns —
 // the role MPI_Finalize's implicit synchronization plays in real MPI. A
 // peer may still need this process's cooperation to finish: most notably,
@@ -899,7 +916,10 @@ func (rs *runState) runProc(s *procSpec, extra bool) {
 // last receive needs its CTS/sink handshake, which only engine progress
 // provides. The drain ends once done reports true — every launched
 // process has finished (or crashed), or the coordinator's shutdown came —
-// or when this process itself is killed.
+// or when this process itself is killed. It is event-driven: between
+// progress rounds it parks until a message arrives or whoever makes done
+// true wakes the endpoint, and done must therefore be a level the waker
+// sets before its Endpoint.Wake.
 func drain(proc *mpi.Proc, done func() bool) {
 	eng := proc.Engine()
 	ep := eng.Endpoint()
@@ -908,7 +928,10 @@ func drain(proc *mpi.Proc, done func() bool) {
 			return
 		}
 		eng.Progress()
-		ep.WaitActivity(200 * time.Microsecond)
+		// Owed acks and staged frames go out before parking, as in every
+		// blocking wait: a peer still in its application may need them.
+		eng.Flush()
+		ep.WaitUntil(done)
 	}
 	// One final sweep for anything that raced the last counter update.
 	eng.Progress()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -133,5 +134,77 @@ func TestLaunchersRejectConfig(t *testing.T) {
 	}
 	for field, mutate := range inProcessOnly {
 		refused("RunDistributed", field, mutate, field)
+	}
+}
+
+// barrierApp is the smallest launch that still synchronizes: an empty body
+// plus one world Barrier.
+func barrierApp(env *Env) (any, error) {
+	env.World.Barrier()
+	return nil, nil
+}
+
+// TestLaunchStorm runs thousands of back-to-back 2-rank launches through
+// finalize. The drain parks on its endpoint until the last process to
+// finish wakes it; a wake lost between a drain's stop check and its park
+// would leave that process asleep until the watchdog, so any TimedOut
+// launch here is a lost wakeup.
+func TestLaunchStorm(t *testing.T) {
+	const launches = 2000
+	for _, proto := range []Protocol{Native, SDR} {
+		for i := 0; i < launches; i++ {
+			rep := Run(Config{Ranks: 2, Protocol: proto, Timeout: 10 * time.Second}, barrierApp)
+			if rep.TimedOut {
+				t.Fatalf("%s launch %d timed out in finalize", proto, i)
+			}
+			if err := rep.FirstError(); err != nil {
+				t.Fatalf("%s launch %d: %v", proto, i, err)
+			}
+		}
+	}
+}
+
+// BenchmarkLaunch is the launcher's own layer: one in-process launch of an
+// empty body plus a Barrier, through finalize and teardown, per op. What
+// it times is spawn, the proc stack build, one collective and the drain —
+// the setup cost a replicated run pays once, apart from steady state.
+func BenchmarkLaunch(b *testing.B) {
+	for _, proto := range []Protocol{Native, SDR} {
+		for _, ranks := range []int{2, 4} {
+			b.Run(fmt.Sprintf("%s/ranks=%d", proto, ranks), func(b *testing.B) {
+				cfg := Config{Ranks: ranks, Protocol: proto, Timeout: 10 * time.Second}
+				for i := 0; i < b.N; i++ {
+					rep := Run(cfg, barrierApp)
+					if err := rep.FirstError(); err != nil || rep.TimedOut {
+						b.Fatalf("launch %d: err=%v timedOut=%v", i, err, rep.TimedOut)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestDrainFlushesOwedAcks: a receive that completes only during the
+// finalize drain (rank 1 returns without waiting on its Irecv) queues a
+// coalesced ack the sender's Wait is gated on. The drain must force-flush
+// it before parking, or the sender — and with it the whole launch —
+// sleeps until the watchdog.
+func TestDrainFlushesOwedAcks(t *testing.T) {
+	app := func(env *Env) (any, error) {
+		c := env.World
+		if c.Rank() == 0 {
+			time.Sleep(5 * time.Millisecond) // let rank 1 reach its drain first
+			c.Send(1, 0, []byte{1})
+		} else {
+			c.Irecv(0, 0, make([]byte, 1))
+		}
+		return nil, nil
+	}
+	rep := Run(Config{Ranks: 2, Protocol: SDR, Timeout: 5 * time.Second}, app)
+	if rep.TimedOut {
+		t.Fatal("sender never got the ack owed from the receiver's drain")
+	}
+	if err := rep.FirstError(); err != nil {
+		t.Fatal(err)
 	}
 }

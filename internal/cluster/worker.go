@@ -294,7 +294,9 @@ func RunWorker(cfg WorkerConfig, app AppFunc) int {
 				pw.Revive(transport.ProcID(m.Proc), m.Addr)
 				_ = cc.send(ctlMsg{Op: opReviveAck, Proc: int(cfg.Proc), For: m.Proc})
 			case opShutdown:
+				// The drain parks in WaitUntil; wake it to see the close.
 				close(shutdown)
+				nw.Endpoint(cfg.Proc).Wake()
 				return
 			}
 		}

@@ -274,7 +274,3 @@ type sendEntry struct {
 }
 
 func (e *sendEntry) key() retKey { return retKey{e.ctx, e.dstRank, e.seq} }
-
-// Debug enables protocol event tracing to stdout (used only by debugging
-// sessions; never set in committed tests).
-var Debug = false

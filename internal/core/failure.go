@@ -160,9 +160,6 @@ func (p *Replicated) resendUnackedTo(dstRank int, q transport.ProcID) {
 		return entries[i].seq < entries[j].seq
 	})
 	for _, e := range entries {
-		if Debug {
-			println("proc", int(p.proc.ID()), "RESEND to", int(q), "ctx", int(e.ctx), "tag", e.tag, "dstRank", e.dstRank, "seq", int(e.seq))
-		}
 		// Copy the payload: rendezvous entries alias the application
 		// buffer, which becomes writable the moment this entry converts
 		// (the owner's Wait unblocks), while the re-send's own

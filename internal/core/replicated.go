@@ -349,9 +349,6 @@ func (p *Replicated) onArrive(m *transport.Message) bool {
 	srcRank := int(m.Meta[mpi.MetaSrcRank])
 	rc := p.recvSeq.at(m.Ctx)
 	next := rc.next[srcRank]
-	if Debug {
-		println(mpi.DbgUS(), "proc", int(p.proc.ID()), "ARRIVE kind", int(m.Kind), "tag", m.Tag, "srcRank", srcRank, "seq", int(m.Seq), "from", int(m.Src))
-	}
 	switch {
 	case m.Seq < next:
 		p.discardDuplicate(m)

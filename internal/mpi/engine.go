@@ -2,19 +2,9 @@ package mpi
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/transport"
 )
-
-// DebugEngine enables engine event tracing (debugging only).
-var DebugEngine = false
-
-// dbgStart anchors debug timestamps.
-var dbgStart = time.Now()
-
-// dbgUS returns microseconds since package init, for debug traces.
-func dbgUS() int { return int(time.Since(dbgStart).Microseconds()) }
 
 // DefaultEagerLimit is the payload size, in bytes, at or below which a send
 // uses the eager wire protocol (the payload travels with the envelope and
@@ -401,9 +391,6 @@ func (e *Engine) InjectMatchBatch(ms []*transport.Message) {
 // the receive buffer (or the CTS is on its way), the message's pooled
 // storage is recycled.
 func (e *Engine) deliver(req *PReq, m *transport.Message) {
-	if DebugEngine {
-		println(dbgUS(), "proc", int(e.ep.ID()), "DELIVER kind", int(m.Kind), "seq", int(m.Seq), "tag", m.Tag)
-	}
 	req.status = PStatus{SrcPhys: m.Src, Ctx: m.Ctx, Tag: m.Tag, Count: m.Len(), Seq: m.Seq, Meta: m.Meta}
 	if m.Kind == transport.KindRTS {
 		req.status.Count = int(m.Meta[MetaLen])
@@ -451,10 +438,6 @@ func (e *Engine) handle(m *transport.Message) {
 		}
 		transport.FreeMessage(m)
 	case transport.KindCTS:
-		if DebugEngine {
-			_, ok := e.rdvSend[m.XID]
-			println(dbgUS(), "proc", int(e.ep.ID()), "CTS known", ok, "from", int(m.Src))
-		}
 		if r, ok := e.rdvSend[m.XID]; ok {
 			delete(e.rdvSend, m.XID)
 			// Ship a copy: completing the request frees the caller's
@@ -474,10 +457,6 @@ func (e *Engine) handle(m *transport.Message) {
 		}
 		transport.FreeMessage(m)
 	case transport.KindData:
-		if DebugEngine {
-			_, ok := e.rdvRecv[m.XID]
-			println(dbgUS(), "proc", int(e.ep.ID()), "DATA seq", int(m.Seq), "known", ok)
-		}
 		if r, ok := e.rdvRecv[m.XID]; ok {
 			delete(e.rdvRecv, m.XID)
 			if m.Len() > len(r.buf) {
@@ -531,14 +510,7 @@ func (e *Engine) WaitUntil(cond func() bool) {
 	for {
 		e.Progress()
 		done := cond()
-		if e.OnFlush != nil {
-			e.OnFlush(true)
-		}
-		// Force-flush staged wire batches before blocking (or returning):
-		// the acks OnFlush just staged — and any application frames still
-		// batched — must reach the peer, or both sides sleep on each
-		// other's staged bytes.
-		e.nw.FlushWire(e.ep.ID(), true)
+		e.Flush()
 		if done {
 			return
 		}
@@ -546,6 +518,18 @@ func (e *Engine) WaitUntil(cond func() bool) {
 			Crash(e.ep.ID())
 		}
 	}
+}
+
+// Flush force-flushes protocol-deferred work (coalesced acks) and then
+// every wire batch this process has staged — the pre-block discipline of
+// every blocking wait: the acks OnFlush stages, and any application
+// frames still batched, must reach the peer before this process sleeps,
+// or both sides sleep on each other's staged bytes.
+func (e *Engine) Flush() {
+	if e.OnFlush != nil {
+		e.OnFlush(true)
+	}
+	e.nw.FlushWire(e.ep.ID(), true)
 }
 
 // UnexpectedLen reports the current depth of the unexpected-message queue
@@ -559,6 +543,3 @@ func (e *Engine) PostedLen() int { return len(e.posted) }
 // UnexpectedHighWater reports the deepest the unexpected queue has been —
 // the §3.1 cost of posting receives late (leader-based wildcards).
 func (e *Engine) UnexpectedHighWater() int { return e.unexpHW }
-
-// DbgUS exposes the debug timestamp to sibling packages' traces.
-func DbgUS() int { return dbgUS() }

@@ -285,6 +285,34 @@ func TestTestallTestany(t *testing.T) {
 	})
 }
 
+// A leading nil request (MPI_REQUEST_NULL) must be skipped, as Waitall and
+// Waitany skip it, not dereferenced; an all-nil set is trivially complete
+// for Testall and has no completed index for Testany.
+func TestTestallTestanyLeadingNil(t *testing.T) {
+	if !Testall(nil, nil) {
+		t.Error("testall over only nil requests should be true")
+	}
+	if i, _, ok := Testany(nil, nil); ok || i != -1 {
+		t.Errorf("testany over only nil requests: %d %v, want -1 false", i, ok)
+	}
+	runNative(t, 2, func(c *Comm) {
+		if c.Rank() == 0 {
+			buf := make([]byte, 1)
+			r := c.Irecv(1, 0, buf)
+			for !Testall(nil, r) {
+			}
+			if i, _, ok := Testany(nil, r); !ok || i != 1 {
+				t.Errorf("testany: %d %v, want 1 true", i, ok)
+			}
+			if buf[0] != 9 {
+				t.Errorf("received %d, want 9", buf[0])
+			}
+		} else {
+			c.Send(0, 0, []byte{9})
+		}
+	})
+}
+
 func TestTruncationPanics(t *testing.T) {
 	nw := transport.NewNetwork(2, nil)
 	defer nw.Close()

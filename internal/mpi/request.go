@@ -124,12 +124,7 @@ func (r *Request) Wait() Status {
 	for {
 		e.Progress()
 		done := r.ready()
-		if e.OnFlush != nil {
-			e.OnFlush(true)
-		}
-		// Same pre-block discipline as WaitUntil: staged acks and frames
-		// go out before this process sleeps on the peer.
-		e.nw.FlushWire(e.ep.ID(), true)
+		e.Flush()
 		if done {
 			break
 		}
@@ -171,13 +166,7 @@ func Waitall(reqs ...*Request) []Status {
 // non-deterministic; under send-determinism the choice cannot leak into
 // the message flow.
 func Waitany(reqs ...*Request) (int, Status) {
-	var eng *Engine
-	for _, r := range reqs {
-		if r != nil {
-			eng = r.eng
-			break
-		}
-	}
+	eng := engineOf(reqs)
 	if eng == nil {
 		return -1, Status{}
 	}
@@ -194,12 +183,25 @@ func Waitany(reqs ...*Request) (int, Status) {
 	return idx, reqs[idx].finish()
 }
 
-// Testall progresses once and reports whether all requests completed.
+// engineOf returns the engine of the first non-nil request, or nil when
+// every request is nil (MPI_REQUEST_NULL).
+func engineOf(reqs []*Request) *Engine {
+	for _, r := range reqs {
+		if r != nil {
+			return r.eng
+		}
+	}
+	return nil
+}
+
+// Testall progresses once and reports whether all requests completed. Nil
+// requests (MPI_REQUEST_NULL) count as complete.
 func Testall(reqs ...*Request) bool {
-	if len(reqs) == 0 {
+	eng := engineOf(reqs)
+	if eng == nil {
 		return true
 	}
-	reqs[0].eng.Progress()
+	eng.Progress()
 	for _, r := range reqs {
 		if r != nil && !r.ready() {
 			return false
@@ -209,12 +211,13 @@ func Testall(reqs ...*Request) bool {
 }
 
 // Testany progresses once and returns the index of a completed request, or
-// -1 if none.
+// -1 if none. Nil requests (MPI_REQUEST_NULL) are skipped.
 func Testany(reqs ...*Request) (int, Status, bool) {
-	if len(reqs) == 0 {
+	eng := engineOf(reqs)
+	if eng == nil {
 		return -1, Status{}, false
 	}
-	reqs[0].eng.Progress()
+	eng.Progress()
 	for i, r := range reqs {
 		if r != nil && r.ready() {
 			st := r.finish()

@@ -175,7 +175,7 @@ func (nw *Network) Kill(p ProcID) {
 	ep := nw.eps[int(p)]
 	ep.dead.Store(true)
 	ep.lockBarrier()
-	ep.wake()
+	ep.Wake()
 	nw.notify(p, false)
 }
 
@@ -200,7 +200,7 @@ func (nw *Network) Revive(p ProcID) {
 	// the flip is lost.
 	ep.clearQueues()
 	ep.dead.Store(false)
-	ep.wake()
+	ep.Wake()
 	nw.notify(p, true)
 }
 
@@ -297,8 +297,8 @@ type Endpoint struct {
 	shards    []qshard
 	shardMask uint
 	dead      atomic.Bool
-	nq       atomic.Int64 // queued messages across all shards
-	sleepers atomic.Int32 // receivers blocked in WaitActivity
+	nq        atomic.Int64 // queued messages across all shards
+	sleepers  atomic.Int32 // receivers blocked in WaitActivity/WaitUntil
 
 	// mu/cond only coordinate blocking receivers with (rare) wakeups; the
 	// delivery hot path never takes mu when nobody sleeps.
@@ -443,15 +443,17 @@ func (ep *Endpoint) injectAt(m *Message, at time.Time) {
 	sh.mu.Unlock()
 	ep.nq.Add(1)
 	if ep.sleepers.Load() > 0 {
-		ep.wake()
+		ep.Wake()
 	}
 }
 
-// wake broadcasts to blocked receivers. Taking mu orders the broadcast
-// against a receiver that is between registering as a sleeper and calling
-// cond.Wait (it holds mu for that whole window), so wakeups cannot be
-// lost.
-func (ep *Endpoint) wake() {
+// Wake broadcasts to blocked receivers, which then re-evaluate their wait
+// conditions. Taking mu orders the broadcast against a receiver that is
+// between registering as a sleeper and calling cond.Wait (it holds mu for
+// that whole window, re-checking its conditions inside it), so wakeups
+// cannot be lost. Whoever changes the state a WaitUntil stop predicate
+// reads calls Wake after the change.
+func (ep *Endpoint) Wake() {
 	ep.mu.Lock()
 	ep.cond.Broadcast()
 	ep.mu.Unlock()
@@ -534,13 +536,40 @@ func (ep *Endpoint) Drain() []*Message {
 // process is killed, or the timeout elapses. It returns false if the
 // process was killed. A zero timeout means wait indefinitely.
 func (ep *Endpoint) WaitActivity(timeout time.Duration) bool {
-	deadline := time.Time{}
+	var deadline time.Time
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
 	}
+	return ep.wait(deadline, nil)
+}
+
+// WaitUntil blocks until stop reports true, at least one message is
+// deliverable, or the process is killed; it returns false if the process
+// was killed. stop is level-triggered: it is re-evaluated under the wake
+// lock after this receiver registers as a sleeper, so a state change
+// followed by Wake can never fall between the check and the park. stop
+// runs with the endpoint's wake lock held and must not block.
+func (ep *Endpoint) WaitUntil(stop func() bool) bool {
+	return ep.wait(time.Time{}, stop)
+}
+
+// wait is the shared body of WaitActivity and WaitUntil: a zero deadline
+// waits indefinitely, a nil stop never stops early. A timed wait parks on
+// the condition variable like an untimed one and is woken at the deadline
+// by a timer, so an arrival mid-wait is seen at once.
+func (ep *Endpoint) wait(deadline time.Time, stop func() bool) bool {
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
 	for {
 		if ep.dead.Load() {
 			return false
+		}
+		if stop != nil && stop() {
+			return true
 		}
 		if ep.nq.Load() > 0 {
 			ready, earliest := ep.scanArrivals()
@@ -566,18 +595,23 @@ func (ep *Endpoint) WaitActivity(timeout time.Duration) bool {
 			return true
 		}
 		// Nothing queued: block. Register as a sleeper before re-checking
-		// the counter so a concurrent injector either sees the sleeper and
-		// broadcasts (under mu, ordered with our Wait) or published its
-		// message before our re-check observes it.
+		// the counter (and stop) so a concurrent injector either sees the
+		// sleeper and broadcasts (under mu, ordered with our Wait) or
+		// published its message before our re-check observes it.
 		ep.mu.Lock()
 		ep.sleepers.Add(1)
-		if ep.nq.Load() > 0 || ep.dead.Load() {
+		if ep.nq.Load() > 0 || ep.dead.Load() || (stop != nil && stop()) {
 			ep.sleepers.Add(-1)
 			ep.mu.Unlock()
 			continue
 		}
-		// sdr:holdblock-ok condition wait: Wait releases mu while parked; the timed path must sleep to poll
-		waitWithTimeout(ep.cond, &ep.mu, deadline)
+		if !deadline.IsZero() && timer == nil {
+			// The timer's Wake blocks on mu until this Wait releases
+			// it, so even an already-expired deadline cannot be missed.
+			timer = time.AfterFunc(time.Until(deadline), ep.Wake)
+		}
+		// sdr:holdblock-ok condition wait: Wait releases mu while parked; a timed wait is woken by its deadline timer
+		ep.cond.Wait()
 		ep.sleepers.Add(-1)
 		ep.mu.Unlock()
 	}
@@ -609,17 +643,4 @@ func (ep *Endpoint) scanArrivals() (ready bool, earliest time.Time) {
 		sh.mu.Unlock()
 	}
 	return false, earliest
-}
-
-// waitWithTimeout waits on cond if no deadline is set; with a deadline it
-// degrades to a short polling sleep (timed condition waits are only used on
-// watchdog paths, where 100 us granularity is ample).
-func waitWithTimeout(cond *sync.Cond, mu *sync.Mutex, deadline time.Time) {
-	if deadline.IsZero() {
-		cond.Wait()
-		return
-	}
-	mu.Unlock()
-	time.Sleep(100 * time.Microsecond)
-	mu.Lock()
 }

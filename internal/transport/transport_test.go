@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -128,6 +129,101 @@ func TestWaitActivityTimeout(t *testing.T) {
 	nw.Endpoint(0).WaitActivity(20 * time.Millisecond)
 	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
 		t.Fatalf("returned too early: %v", elapsed)
+	}
+}
+
+// waitReturns runs wait on its own goroutine and reports its result, or
+// fails the test if it has not returned within limit (killing endpoint 0
+// so a parked waiter unwinds).
+func waitReturns(t *testing.T, nw *Network, limit time.Duration, wait func() bool) bool {
+	t.Helper()
+	done := make(chan bool, 1)
+	go func() { done <- wait() }()
+	select {
+	case r := <-done:
+		return r
+	case <-time.After(limit):
+		nw.Kill(0)
+		<-done
+		t.Fatalf("wait did not return within %v", limit)
+		return false
+	}
+}
+
+func TestWaitUntilStopAlreadyTrue(t *testing.T) {
+	nw := NewNetwork(1, nil)
+	defer nw.Close()
+	ep := nw.Endpoint(0)
+	if !waitReturns(t, nw, 2*time.Second, func() bool { return ep.WaitUntil(func() bool { return true }) }) {
+		t.Fatal("WaitUntil with a true stop should report alive")
+	}
+	if msgs := ep.Drain(); len(msgs) != 0 {
+		t.Fatalf("nothing was sent, drained %d messages", len(msgs))
+	}
+}
+
+// TestWaitUntilWakeBeforePark models a wake that lands between the
+// caller's check and the park: the predicate's first evaluation (before
+// the waiter registers as a sleeper) flips the state and wakes the
+// endpoint while nobody is parked yet, so the broadcast reaches no one.
+// Only the level-triggered re-check under the wake lock can see it.
+func TestWaitUntilWakeBeforePark(t *testing.T) {
+	nw := NewNetwork(1, nil)
+	defer nw.Close()
+	ep := nw.Endpoint(0)
+	var flipped atomic.Bool
+	calls := 0
+	stop := func() bool {
+		calls++
+		if calls == 1 {
+			flipped.Store(true)
+			ep.Wake()
+			return false
+		}
+		return flipped.Load()
+	}
+	if !waitReturns(t, nw, 2*time.Second, func() bool { return ep.WaitUntil(stop) }) {
+		t.Fatal("WaitUntil should report alive")
+	}
+}
+
+func TestWaitUntilWokenByStop(t *testing.T) {
+	nw := NewNetwork(1, nil)
+	defer nw.Close()
+	ep := nw.Endpoint(0)
+	var stopped atomic.Bool
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		stopped.Store(true)
+		ep.Wake()
+	}()
+	if !waitReturns(t, nw, 2*time.Second, func() bool { return ep.WaitUntil(stopped.Load) }) {
+		t.Fatal("WaitUntil should report alive")
+	}
+}
+
+// A timed wait parks on the condition variable, not a polling sleep, so a
+// message injected mid-wait ends it at once instead of at the deadline.
+func TestWaitActivityTimedWakesOnArrival(t *testing.T) {
+	nw := NewNetwork(2, nil)
+	defer nw.Close()
+	a, b := nw.Endpoint(0), nw.Endpoint(1)
+	sent := make(chan time.Time, 1)
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		sent <- time.Now()
+		a.Send(&Message{Dst: 1, Kind: KindEager, Data: []byte("x")})
+	}()
+	if !b.WaitActivity(time.Second) {
+		t.Fatal("WaitActivity should report alive")
+	}
+	woke := time.Now()
+	at := <-sent
+	if lag := woke.Sub(at); lag > 25*time.Millisecond {
+		t.Fatalf("timed wait saw the arrival %v after the send", lag)
+	}
+	if msgs := b.Drain(); len(msgs) != 1 {
+		t.Fatalf("drained %d messages, want 1", len(msgs))
 	}
 }
 
