@@ -60,7 +60,8 @@
 // epoch down and — when Config.CheckpointDir is set — restarts every
 // process from the latest committed checkpoint wave (internal/ckpt
 // stamps a wave with a coordinated-commit marker only after every rank's
-// writer replica has saved, so a half-written wave is never chosen) and
+// file is in place — published by the first of its replicas to reach the
+// wave — so a half-written wave is never chosen) and
 // re-executes to a fault-free-identical result. The ablation-ckpt
 // experiment quantifies the checkpoint-interval vs. re-executed-work
 // trade-off, ablation-recovery compares rungs 2 and 3 on the same kill
@@ -99,7 +100,7 @@
 // fail-stop drops to dead peers). The registry connection doubles as
 // control plane and health channel: liveness pings, checkpoint-save
 // notices (the registry stamps a wave's coordinated-commit marker once
-// every rank's writer reported), kill-boundary reports (-kill becomes a
+// every rank's file was reported), kill-boundary reports (-kill becomes a
 // real SIGKILL delivered by the coordinator at the exact step boundary),
 // failure broadcasts (the paper's external detector, injected in-band by
 // each worker), and shutdown. Replication exhaustion makes workers exit
@@ -163,6 +164,16 @@
 // (internal/transport/network.go). The wirescale experiment and
 // BenchmarkSequencer track the result as a committed 8–256-rank curve
 // (BENCH_PR10.json).
+//
+// The SDR message path keeps its ack bookkeeping and inbound drain off
+// maps and empty locks: the ack coalescer tracks an owed list of
+// destinations with non-empty batches over a dense per-process batch
+// slice, so its per-progress flush is free when nothing is owed
+// (internal/core/acks.go); a retained send keeps its outstanding ackers
+// in an inline slice (core.go); and each endpoint's shard occupancy mask
+// — one bit per inbound shard, set and cleared under that shard's lock —
+// lets Drain and the wait path lock only shards that hold traffic
+// (internal/transport/network.go).
 //
 // Finalize is event-driven. A process whose application body returned
 // keeps its engine progressing (cluster's drain, the MPI_Finalize role)

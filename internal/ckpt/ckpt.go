@@ -7,8 +7,9 @@
 // replica must reach stable storage exactly once.
 //
 // This package implements that storage side: per-rank, per-step checkpoint
-// files written atomically by the designated writer replica only (the
-// lowest-index alive one), with an integrity hash verified on load, a
+// files published atomically and exactly once per (rank, wave) — the first
+// replica of the rank to reach the wave wins, so no single lagging replica
+// holds a wave back — with an integrity hash verified on load, a
 // coordinated-commit marker per wave so a half-written wave is never chosen
 // for restart, and a Latest scan plus GC of superseded waves.
 package ckpt
@@ -16,8 +17,10 @@ package ckpt
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -45,11 +48,9 @@ func (s *Store) path(rank, step int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("ckpt-r%04d-s%08d.bin", rank, step))
 }
 
-// Save persists one rank's state at a step. Only the writer replica calls
-// this with write=true; other replicas pass write=false and get exactly-
-// once semantics for free (they may instead Verify). The write is atomic
-// (temp file + rename) so a crash mid-write never corrupts the previous
-// checkpoint.
+// Save persists one rank's state at a step, replacing any previous file
+// for it; write=false is a no-op. The write is atomic (temp file +
+// rename) so a crash mid-write never corrupts the previous checkpoint.
 func (s *Store) Save(rank, step int, data []byte, write bool) error {
 	if !write {
 		return nil
@@ -61,10 +62,52 @@ func (s *Store) Save(rank, step int, data []byte, write bool) error {
 	return nil
 }
 
+// Publish persists one rank's state at a step unless a file for it
+// already exists, reporting whether this call created it. Every replica
+// of a rank calls it on reaching a wave: the first one publishes, the
+// rest find the file in place, so exactly one file per (rank, wave)
+// remains, written by whichever replica got there first — replicas hold
+// the same state at the same step. The file appears atomically with its
+// full content (temp file + a no-replace link), so concurrent publishers
+// cannot tear or overwrite each other.
+func (s *Store) Publish(rank, step int, data []byte) (bool, error) {
+	path := s.path(rank, step)
+	if _, err := os.Stat(path); err == nil {
+		return false, nil
+	}
+	tmpName, err := s.writeTemp(data)
+	if err != nil {
+		return false, err
+	}
+	defer os.Remove(tmpName)
+	if err := os.Link(tmpName, path); err != nil {
+		if errors.Is(err, fs.ErrExist) {
+			return false, nil // another replica published first
+		}
+		return false, fmt.Errorf("ckpt: %w", err)
+	}
+	mBytesCkpt.Add(uint64(len(data)))
+	return true, nil
+}
+
 // writeAtomic persists data with an fnv64 integrity footer via a temp file
 // + rename, so a crash mid-write never corrupts a previous file under the
 // same name. Shared by checkpoint and message-log writes.
 func (s *Store) writeAtomic(path string, data []byte) error {
+	tmpName, err := s.writeTemp(data)
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmpName, path); err != nil {
+		os.Remove(tmpName)
+		return fmt.Errorf("ckpt: %w", err)
+	}
+	return nil
+}
+
+// writeTemp writes data plus its fnv64 integrity footer to a fresh temp
+// file in the store and returns the file's name.
+func (s *Store) writeTemp(data []byte) (string, error) {
 	h := fnv.New64a()
 	h.Write(data)
 	var footer [8]byte
@@ -72,28 +115,24 @@ func (s *Store) writeAtomic(path string, data []byte) error {
 
 	tmp, err := os.CreateTemp(s.dir, "ckpt-tmp-*")
 	if err != nil {
-		return fmt.Errorf("ckpt: %w", err)
+		return "", fmt.Errorf("ckpt: %w", err)
 	}
 	tmpName := tmp.Name()
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
-		return fmt.Errorf("ckpt: %w", err)
+		return "", fmt.Errorf("ckpt: %w", err)
 	}
 	if _, err := tmp.Write(footer[:]); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
-		return fmt.Errorf("ckpt: %w", err)
+		return "", fmt.Errorf("ckpt: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmpName)
-		return fmt.Errorf("ckpt: %w", err)
+		return "", fmt.Errorf("ckpt: %w", err)
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	return nil
+	return tmpName, nil
 }
 
 // readVerified reads a footer-protected file, failing on truncation or an
@@ -240,6 +279,26 @@ func (s *Store) Prune(keep int) error {
 			mPrunedLogs.Inc()
 		} else {
 			mPruned.Inc()
+		}
+	}
+	return nil
+}
+
+// PruneAbove removes every checkpoint, message-log and commit-marker file
+// of a wave after keep. A rollback to wave keep calls it: those files are
+// leftovers of the torn-down epoch, and since Publish never replaces a
+// file, the new epoch must not find them — a committed wave's files all
+// come from the epoch that committed it.
+func (s *Store) PruneAbove(keep int) error {
+	entries, err := os.ReadDir(s.dir)
+	if err != nil {
+		return fmt.Errorf("ckpt: %w", err)
+	}
+	for _, e := range entries {
+		if st, ok := stepOf(e.Name()); ok && st > keep {
+			if err := os.Remove(filepath.Join(s.dir, e.Name())); err != nil && !os.IsNotExist(err) {
+				return fmt.Errorf("ckpt: %w", err)
+			}
 		}
 	}
 	return nil

@@ -388,3 +388,99 @@ func TestStepsIgnoresForeignFiles(t *testing.T) {
 		t.Fatalf("steps = %v, want [5]", steps)
 	}
 }
+
+func TestPublishFirstReplicaWins(t *testing.T) {
+	s := newTestStore(t)
+	won, err := s.Publish(1, 4, []byte("first"))
+	if err != nil || !won {
+		t.Fatalf("first Publish = %v, %v; want true, nil", won, err)
+	}
+	won, err = s.Publish(1, 4, []byte("second"))
+	if err != nil || won {
+		t.Fatalf("second Publish = %v, %v; want false, nil", won, err)
+	}
+	got, err := s.Load(1, 4)
+	if err != nil || string(got) != "first" {
+		t.Fatalf("Load = %q, %v; want the first publisher's state", got, err)
+	}
+}
+
+// TestPublishConcurrentExactlyOnce races every replica of a rank to
+// publish the same wave: exactly one wins, the file is whole, and no
+// temp file is left behind.
+func TestPublishConcurrentExactlyOnce(t *testing.T) {
+	s := newTestStore(t)
+	const replicas = 8
+	state := bytes.Repeat([]byte("replicated state "), 64)
+	wins := make(chan bool, replicas)
+	errs := make(chan error, replicas)
+	start := make(chan struct{})
+	for i := 0; i < replicas; i++ {
+		go func() {
+			<-start
+			won, err := s.Publish(0, 2, state)
+			wins <- won
+			errs <- err
+		}()
+	}
+	close(start)
+	winners := 0
+	for i := 0; i < replicas; i++ {
+		if <-wins {
+			winners++
+		}
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if winners != 1 {
+		t.Fatalf("%d publishers won, want exactly 1", winners)
+	}
+	if got, err := s.Load(0, 2); err != nil || !bytes.Equal(got, state) {
+		t.Fatalf("published file unreadable or torn: %v", err)
+	}
+	entries, err := os.ReadDir(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Fatalf("store holds %v, want only the published file", names)
+	}
+}
+
+func TestPruneAboveDropsLaterWaves(t *testing.T) {
+	s := newTestStore(t)
+	for _, st := range []int{2, 4, 6} {
+		for rank := 0; rank < 2; rank++ {
+			if _, err := s.Publish(rank, st, []byte{byte(st)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Commit(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PruneAbove(4); err != nil {
+		t.Fatal(err)
+	}
+	for rank := 0; rank < 2; rank++ {
+		steps, err := s.Steps(rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(steps) != 2 || steps[0] != 2 || steps[1] != 4 {
+			t.Fatalf("rank %d steps after PruneAbove(4) = %v, want [2 4]", rank, steps)
+		}
+	}
+	if latest, err := s.LatestCommon(2); err != nil || latest != 4 {
+		t.Fatalf("latest = %d, %v; want 4", latest, err)
+	}
+	// A wave republished after the prune is the new epoch's own.
+	if won, err := s.Publish(0, 6, []byte{60}); err != nil || !won {
+		t.Fatalf("republish after prune = %v, %v; want true, nil", won, err)
+	}
+}

@@ -131,9 +131,9 @@ type Config struct {
 	// checkpoint store (Env.Checkpoint / Env.LoadCheckpoint): the
 	// paper's combined replication + application-level checkpointing
 	// configuration (§1, §4.1). Writes follow redundant-execution I/O
-	// rules: only the designated writer replica touches the file. The
-	// harness commits a wave once every rank's writer has saved it, and
-	// prunes superseded waves.
+	// rules: one file per (rank, wave), published by whichever replica
+	// of the rank reaches the wave first. The harness commits a wave once
+	// every rank's file is in place, and prunes superseded waves.
 	//
 	// CheckpointDir also arms the second rung of the recovery ladder:
 	// when the last replica of a rank dies, Run tears the epoch down and
@@ -290,8 +290,9 @@ func degreeVector(ranks, r int, degrees, unreplicated []int) ([]int, error) {
 // workerState (the distributed worker runtime, which forwards these calls
 // to the coordinator over the registry control plane).
 type harness interface {
-	// noteCkpt records that rank's writer completed its save for step;
-	// the harness commits the wave once every rank has.
+	// noteCkpt records that rank's file for step is in place; the
+	// harness commits the wave once every rank's is. Every replica of a
+	// rank reports, so it is idempotent per (rank, step).
 	noteCkpt(rank, step int) error
 	// stepHook realizes the failure/recovery schedule at a step boundary.
 	stepHook(e *Env, step int, snapshot func() []byte)
@@ -314,21 +315,21 @@ type Env struct {
 }
 
 // Checkpoint saves the application state for this process's rank at a
-// step. Under replication, only the writer replica (the lowest-index
-// replica this process believes alive) performs the file write; the
-// others are no-ops, giving exactly-once output as in redundant-execution
-// I/O. Once every rank's writer has saved a step, the harness stamps the
-// wave with the coordinated-commit marker (and prunes superseded waves),
-// making it eligible for rollback restart. Requires Config.CheckpointDir.
+// step. Under replication every replica publishes, and the first of the
+// rank's replicas to reach the step writes the file; the others find it in
+// place, giving exactly-once output as in redundant-execution I/O without
+// making the wave wait for any one replica (ckpt.Store.Publish). Once
+// every rank's file is in place, the harness stamps the wave with the
+// coordinated-commit marker (and prunes superseded waves), making it
+// eligible for rollback restart. Requires Config.CheckpointDir.
 func (e *Env) Checkpoint(step int, data []byte) error {
 	if e.store == nil {
 		return fmt.Errorf("cluster: no CheckpointDir configured")
 	}
-	write := e.isWriter()
-	if err := e.store.Save(e.Rank, step, data, write); err != nil {
+	if _, err := e.store.Publish(e.Rank, step, data); err != nil {
 		return err
 	}
-	if write && e.logSelf && e.proto != nil {
+	if e.logSelf && e.proto != nil && e.isWriter() {
 		// Localized-replay bookkeeping for a logging-enabled rank: persist
 		// the protocol replay state next to the app checkpoint, then
 		// acknowledge the wave so senders truncate their message logs.
@@ -343,10 +344,7 @@ func (e *Env) Checkpoint(step int, data []byte) error {
 			e.proto.BroadcastLogTruncate()
 		}
 	}
-	if write {
-		return e.h.noteCkpt(e.Rank, step)
-	}
-	return nil
+	return e.h.noteCkpt(e.Rank, step)
 }
 
 // CanCheckpoint reports whether this run has a checkpoint store configured
@@ -372,8 +370,10 @@ func (e *Env) LatestCheckpoint() (int, error) {
 	return e.store.LatestCommon(e.World.Size())
 }
 
-// isWriter reports whether this replica is its rank's designated I/O
-// writer: the lowest-index replica it believes alive.
+// isWriter reports whether this replica is its rank's designated writer
+// of replay state (the localized-replay bookkeeping Checkpoint persists
+// next to a logging-enabled rank's file): the lowest-index replica it
+// believes alive.
 func (e *Env) isWriter() bool {
 	if e.proto == nil {
 		return true
@@ -578,7 +578,7 @@ type runState struct {
 
 	mu         sync.Mutex                           // sdr:lockrank runstate
 	recovered  map[int]bool                         // guarded by mu; recovery event index → done
-	ckptSaved  map[int]map[int]bool                 // guarded by mu; step → set of ranks whose writer saved
+	ckptSaved  map[int]map[int]bool                 // guarded by mu; step → set of ranks whose file is in place
 	reports    []ProcReport                         // guarded by mu
 	recorders  map[transport.ProcID]*trace.Recorder // guarded by mu
 	wg         sync.WaitGroup
@@ -597,8 +597,10 @@ type runState struct {
 	appDone atomic.Int64
 }
 
-// noteCkpt records that rank's writer completed its save for step; when
-// every rank has, the wave is committed and superseded waves are pruned.
+// noteCkpt records that rank's file for step is in place; when every
+// rank's is, the wave is committed and superseded waves are pruned. A
+// repeated report for the same (rank, step) — the rank's other replicas —
+// changes nothing.
 func (rs *runState) noteCkpt(rank, step int) error {
 	rs.mu.Lock()
 	saved := rs.ckptSaved[step]
@@ -606,8 +608,8 @@ func (rs *runState) noteCkpt(rank, step int) error {
 		saved = make(map[int]bool)
 		rs.ckptSaved[step] = saved
 	}
+	complete := !saved[rank] && len(saved)+1 == rs.cfg.Ranks
 	saved[rank] = true
-	complete := len(saved) == rs.cfg.Ranks
 	rs.mu.Unlock()
 	if !complete {
 		return nil

@@ -131,8 +131,13 @@ func ladder(cfg Config, store *ckpt.Store, tr *obs.Trace, runEpoch func(wave, ep
 		}
 		// Replay states are epoch-relative (sequence counters restart with
 		// the fresh processes); pre-rollback mlogs must never seed a
-		// localized relaunch in the new epoch.
+		// localized relaunch in the new epoch. Files of waves after the
+		// restart line are the torn-down epoch's: the new epoch publishes
+		// its own.
 		if err := store.PruneLogs(); err != nil {
+			return fail("; rollback to wave %d: %w", wave, err)
+		}
+		if err := store.PruneAbove(wave); err != nil {
 			return fail("; rollback to wave %d: %w", wave, err)
 		}
 		restartWave = wave

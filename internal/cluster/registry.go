@@ -27,7 +27,7 @@ import (
 // that is not yet listening. After the handshake:
 //
 //	worker → registry   {"op":"ping"}                       liveness
-//	worker → registry   {"op":"ckpt","rank":R,"step":S}     writer saved
+//	worker → registry   {"op":"ckpt","rank":R,"step":S}     rank's file in place
 //	worker → registry   {"op":"killme","proc":P,"step":S}   at a scheduled
 //	                    kill boundary; the worker then blocks awaiting
 //	                    SIGKILL from the coordinator
@@ -151,7 +151,7 @@ type registry struct {
 	addrs  []string             // guarded by mu
 	hosts  []string             // guarded by mu; per-proc host identities (hello's host field)
 	joined int                  // guarded by mu
-	saved  map[int]map[int]bool // guarded by mu; step → ranks whose writer saved
+	saved  map[int]map[int]bool // guarded by mu; step → ranks whose file is in place
 	closed bool                 // guarded by mu
 
 	// lastSeen[proc] is the unix-nano stamp of the worker's last decoded
@@ -191,7 +191,7 @@ type reviveWait struct {
 
 // newRegistry starts the rendezvous registry for an epoch of `procs`
 // workers over `ranks` logical ranks, committing checkpoint waves into
-// store as workers report writer saves. rejoinTimeout bounds each rejoin
+// store as workers report published files. rejoinTimeout bounds each rejoin
 // handshake's wait for survivor acks (0 = the 10s default).
 func newRegistry(procs, ranks int, store *ckpt.Store, rejoinTimeout time.Duration) (*registry, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -425,7 +425,8 @@ func (r *registry) rejoinFlow(proc int, rc *regConn, addr string) {
 }
 
 // noteCkpt mirrors runState.noteCkpt across process boundaries: count
-// writer saves per wave, commit and prune once every rank reported.
+// each rank's published file once per wave (every replica reports it),
+// commit and prune once every rank reported.
 func (r *registry) noteCkpt(rank, step int) {
 	if r.store == nil || rank < 0 || rank >= r.ranks {
 		return
@@ -436,8 +437,8 @@ func (r *registry) noteCkpt(rank, step int) {
 		saved = make(map[int]bool)
 		r.saved[step] = saved
 	}
+	complete := !saved[rank] && len(saved)+1 == r.ranks
 	saved[rank] = true
-	complete := len(saved) == r.ranks
 	r.mu.Unlock()
 	if !complete {
 		return

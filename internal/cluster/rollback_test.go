@@ -123,6 +123,48 @@ func TestMirrorExhaustionRollsBack(t *testing.T) {
 	}
 }
 
+// TestMirrorCheckpointCommitsWithoutLaggingWriter pins the lagging-writer
+// case of TestMirrorExhaustionRollsBack deterministically: in the first
+// epoch, rank 0's replica 0 never reaches a checkpoint (it only pumps
+// progress, so the teardown still unwinds it). Mirror has no ack gating,
+// so rank 1 advances on replica 1's copies alone; the waves must commit
+// from rank 0's replica 1 all the same, or the loss of rank 1 at step 6
+// has nothing to roll back to.
+func TestMirrorCheckpointCommitsWithoutLaggingWriter(t *testing.T) {
+	const steps, every = 10, 2
+	base := rollbackApp(steps, every)
+	app := func(env *Env) (any, error) {
+		if env.Epoch() == 0 && env.Rank == 0 && env.Rep == 0 {
+			eng := env.World.Proc().Engine()
+			for {
+				eng.Progress() // unwinds when the epoch is torn down
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+		return base(env)
+	}
+	rep := Run(Config{
+		Ranks: 2, Protocol: Mirror, Timeout: 20 * time.Second,
+		CheckpointDir: t.TempDir(),
+		Failures: []FailureEvent{
+			{Rank: 1, Rep: 0, AtStep: 6},
+			{Rank: 1, Rep: 1, AtStep: 6},
+		},
+	}, app)
+	if err := rep.FirstError(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Restarts != 1 || rep.RestartWave < 2 {
+		t.Fatalf("Restarts = %d from wave %d, want 1 from a wave ≥ 2", rep.Restarts, rep.RestartWave)
+	}
+	want := wantPingPong(steps)
+	for _, p := range rep.Procs {
+		if p.Result != want {
+			t.Errorf("rank %d rep %d: %v want %v", p.Rank, p.Rep, p.Result, want)
+		}
+	}
+}
+
 func TestRollbackWithoutCommittedWaveFailsCleanly(t *testing.T) {
 	// Exhaustion before the first committed wave: nothing to roll back
 	// to. The run must report a typed error, not loop or hang.

@@ -36,16 +36,20 @@ import (
 // state — is preserved verbatim.
 
 // ackQueue accumulates the acknowledgements owed to one destination.
+// Queues live in a dense slice indexed by physical process ID; listed
+// marks a destination already on the owed list, so it is never listed
+// twice.
 type ackQueue struct {
-	recs  []transport.AckRec
-	since time.Time // queue time of the oldest pending record
+	recs   []transport.AckRec
+	since  time.Time // queue time of the oldest pending record
+	listed bool      // q is on Replicated.ackOwed
 }
 
 // initCoalescing configures the coalescing state (called from
 // NewReplicated for non-mirror modes unless disabled).
 func (p *Replicated) initCoalescing() {
 	p.coalesce = true
-	p.ackPend = make(map[transport.ProcID]*ackQueue)
+	p.ackPend = make([]ackQueue, p.layout.Procs())
 	p.ackMax = p.opts.AckBatchMax
 	if p.ackMax <= 0 {
 		p.ackMax = DefaultAckBatchMax
@@ -58,15 +62,15 @@ func (p *Replicated) initCoalescing() {
 }
 
 // queueAck records one acknowledgement owed to q, flushing if the batch
-// is full.
+// is full. A batch that becomes non-empty puts q on the owed list.
 func (p *Replicated) queueAck(q transport.ProcID, ctx uint32, seq uint64) {
-	aq := p.ackPend[q]
-	if aq == nil {
-		aq = &ackQueue{}
-		p.ackPend[q] = aq
-	}
+	aq := &p.ackPend[q]
 	if len(aq.recs) == 0 {
 		aq.since = time.Now()
+		if !aq.listed {
+			aq.listed = true
+			p.ackOwed = append(p.ackOwed, q)
+		}
 	}
 	aq.recs = append(aq.recs, transport.AckRec{Ctx: ctx, Seq: seq})
 	if len(aq.recs) >= p.ackMax {
@@ -76,35 +80,42 @@ func (p *Replicated) queueAck(q transport.ProcID, ctx uint32, seq uint64) {
 
 // flushAcks ships pending batches: all of them when forced (about to
 // block), otherwise only those older than the flush delay. Installed as
-// the engine's OnFlush hook.
+// the engine's OnFlush hook, so it runs on every Progress and before
+// every block: with nothing owed it returns at once. It visits only the
+// owed list and compacts it as it goes — a destination leaves the list
+// once its batch is shipped, or is found already emptied by a piggyback,
+// full-batch or dead-destination flush.
 func (p *Replicated) flushAcks(force bool) {
-	if len(p.ackPend) == 0 {
+	if len(p.ackOwed) == 0 {
 		return
 	}
 	var now time.Time
-	for q, aq := range p.ackPend {
-		if len(aq.recs) == 0 {
-			continue
-		}
-		if !force {
+	keep := p.ackOwed[:0]
+	for _, q := range p.ackOwed {
+		aq := &p.ackPend[q]
+		if len(aq.recs) > 0 && !force {
 			if now.IsZero() {
 				now = time.Now()
 			}
 			if now.Sub(aq.since) < p.ackDelay {
+				keep = append(keep, q)
 				continue
 			}
 		}
 		p.flushAcksTo(q, aq)
+		aq.listed = false
 	}
+	p.ackOwed = keep
 }
 
 // flushPendingTo flushes the batch owed to q, if any — the piggyback
-// trigger, called just before an outbound application message to q.
+// trigger, called just before an outbound application message to q. q
+// stays on the owed list until the next flushAcks pass drops it.
 func (p *Replicated) flushPendingTo(q transport.ProcID) {
 	if !p.coalesce {
 		return
 	}
-	if aq := p.ackPend[q]; aq != nil && len(aq.recs) > 0 {
+	if aq := &p.ackPend[q]; len(aq.recs) > 0 {
 		p.flushAcksTo(q, aq)
 	}
 }
@@ -136,12 +147,16 @@ func (p *Replicated) flushAcksTo(q transport.ProcID, aq *ackQueue) {
 }
 
 // dropAcksFor discards the batch owed to a failed process: the discrete
-// acks would have fallen off the wire anyway (fail-stop).
+// acks would have fallen off the wire anyway (fail-stop). The batch is
+// cleared in place; a listed entry leaves the owed list on the next
+// flushAcks pass.
 func (p *Replicated) dropAcksFor(dead transport.ProcID) {
 	if !p.coalesce {
 		return
 	}
-	delete(p.ackPend, dead)
+	aq := &p.ackPend[dead]
+	aq.recs = aq.recs[:0]
+	aq.since = time.Time{}
 }
 
 // sendAckNow emits one discrete acknowledgement in the legacy format:
@@ -198,7 +213,7 @@ func (p *Replicated) applyAck(ctx uint32, seq uint64, src transport.ProcID) {
 		}
 		return
 	}
-	delete(entry.needed, src)
+	entry.unneed(src)
 	if len(entry.needed) == 0 {
 		p.dropRetain(key, entry)
 	}
@@ -209,6 +224,9 @@ func (p *Replicated) applyAck(ctx uint32, seq uint64, src transport.ProcID) {
 // with q as an expected acker, and dropped as moot when q is instead a
 // direct destination (a take-over converted it) or has died.
 func (p *Replicated) dropEarlyAck(key retKey, q transport.ProcID) bool {
+	if len(p.earlyAcks) == 0 {
+		return false // the common case: replicas in step, no probe
+	}
 	ea := p.earlyAcks[key]
 	if ea == nil || !ea[q] {
 		return false

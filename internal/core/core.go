@@ -262,6 +262,10 @@ type retKey struct {
 // copy (pooled=true), recycled when the entry is released; rendezvous
 // entries alias the application buffer, which MPI semantics freeze until
 // the ack-gated Wait completes.
+//
+// The ack set holds at most R-1 processes, so it is a short slice backed
+// by inline storage (no allocation at the paper's r ≤ 3), searched
+// linearly by needs and unneed.
 type sendEntry struct {
 	ctx     uint32
 	tag     int
@@ -270,7 +274,32 @@ type sendEntry struct {
 	data    []byte
 	pooled  bool
 	meta    [4]int64
-	needed  map[transport.ProcID]bool
+	needed  []transport.ProcID
+	inline  [2]transport.ProcID
 }
 
 func (e *sendEntry) key() retKey { return retKey{e.ctx, e.dstRank, e.seq} }
+
+// needs reports whether an ack from q is still outstanding.
+func (e *sendEntry) needs(q transport.ProcID) bool {
+	for _, n := range e.needed {
+		if n == q {
+			return true
+		}
+	}
+	return false
+}
+
+// unneed removes q from the outstanding ack set, reporting whether it was
+// there.
+func (e *sendEntry) unneed(q transport.ProcID) bool {
+	for i, n := range e.needed {
+		if n == q {
+			last := len(e.needed) - 1
+			e.needed[i] = e.needed[last]
+			e.needed = e.needed[:last]
+			return true
+		}
+	}
+	return false
+}

@@ -53,11 +53,8 @@ func (p *Replicated) onFailure(dead transport.ProcID) {
 		p.dropAcksFor(dead)
 		// Stop expecting acks from the dead process (line 33).
 		for key, entry := range p.retain {
-			if entry.needed[dead] {
-				delete(entry.needed, dead)
-				if len(entry.needed) == 0 {
-					p.dropRetain(key, entry)
-				}
+			if entry.unneed(dead) && len(entry.needed) == 0 {
+				p.dropRetain(key, entry)
 			}
 		}
 		// Early acks recorded FROM the dead process can never be
@@ -149,7 +146,7 @@ func (p *Replicated) takeOver(deadRep int) {
 func (p *Replicated) resendUnackedTo(dstRank int, q transport.ProcID) {
 	var entries []*sendEntry
 	for _, e := range p.retain {
-		if e.dstRank == dstRank && e.needed[q] {
+		if e.dstRank == dstRank && e.needs(q) {
 			entries = append(entries, e)
 		}
 	}
@@ -165,7 +162,7 @@ func (p *Replicated) resendUnackedTo(dstRank int, q transport.ProcID) {
 		// (the owner's Wait unblocks), while the re-send's own
 		// rendezvous transfer may still be pending.
 		p.eng.Isend(q, e.ctx, e.tag, append([]byte(nil), e.data...), e.seq, e.meta)
-		delete(e.needed, q)
+		e.unneed(q)
 		if len(e.needed) == 0 {
 			p.dropRetain(e.key(), e)
 		}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/detect"
+	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
@@ -56,6 +57,9 @@ func (p *Replicated) ForkFor(revived transport.ProcID, collSeq uint64) *CloneSta
 		Pending:  make(map[seqKey][]*transport.Message),
 		CollSeq:  collSeq,
 	}
+	// Inherited RTS envelopes are unbound: their handshakes belong to
+	// the substitute, and the replacement takes the payload from the
+	// survivors' duplicate instead (see mpi.UnbindRTS).
 	p.recvSeq.forEachStash(func(ctx uint32, rank int, st *seqStash) {
 		// Deep-copy: the substitute keeps consuming (and recycling) its
 		// own stashed messages, while the clones travel to the
@@ -63,10 +67,14 @@ func (p *Replicated) ForkFor(revived transport.ProcID, collSeq uint64) *CloneSta
 		ms := st.collect(nil)
 		for i, m := range ms {
 			ms[i] = m.Clone()
+			mpi.UnbindRTS(ms[i])
 		}
 		cs.Pending[seqKey{ctx, rank}] = ms
 	})
 	cs.Unexpected = p.eng.UnexpectedMessages()
+	for _, m := range cs.Unexpected {
+		mpi.UnbindRTS(m)
+	}
 	return cs
 }
 

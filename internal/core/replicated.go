@@ -62,9 +62,11 @@ type Replicated struct {
 	msgLog   map[int][]*logEntry
 
 	// Ack-coalescing state (see acks.go): per-destination batches of
-	// acknowledgements not yet on the wire.
+	// acknowledgements not yet on the wire, indexed by physical process
+	// ID, and the owed list of destinations whose batch may be non-empty.
 	coalesce bool
-	ackPend  map[transport.ProcID]*ackQueue
+	ackPend  []ackQueue
+	ackOwed  []transport.ProcID
 	ackMax   int
 	ackDelay time.Duration
 
@@ -234,9 +236,11 @@ func (p *Replicated) Isend(c *mpi.Comm, ctx uint32, to mpi.Rank, tag int, data [
 		return p.isendMirror(c, ctx, dstRank, tag, data, seq, meta)
 	}
 
-	entry := &sendEntry{ctx: ctx, tag: tag, dstRank: dstRank, seq: seq, meta: meta,
-		needed: make(map[transport.ProcID]bool)}
-	var preqs []*mpi.PReq
+	entry := &sendEntry{ctx: ctx, tag: tag, dstRank: dstRank, seq: seq, meta: meta}
+	entry.needed = entry.inline[:0]
+	gate := func() bool { return len(entry.needed) == 0 }
+	req := mpi.NewRequest(c, true, nil, gate)
+	key := entry.key()
 	for rep := 0; rep < p.layout.Degree(dstRank); rep++ {
 		q := p.layout.Phys(rep, dstRank)
 		switch {
@@ -244,20 +248,20 @@ func (p *Replicated) Isend(c *mpi.Comm, ctx uint32, to mpi.Rank, tag int, data [
 			// A stale early ack from q is moot once q is a direct
 			// destination (a take-over converted it while the ack was in
 			// flight): drop it, or the record lingers forever.
-			p.dropEarlyAck(entry.key(), q)
+			p.dropEarlyAck(key, q)
 			if p.alive[int(q)] {
 				// Piggyback trigger: acks owed to q ride just ahead of
 				// this message on the same FIFO channel.
 				p.flushPendingTo(q)
 				pr := p.eng.Isend(q, ctx, tag, data, seq, meta)
 				pr.User = entry
-				preqs = append(preqs, pr)
+				req.Attach(pr)
 			}
 		case p.alive[int(q)]:
 			// Line 9: expect an ack instead of sending directly —
 			// unless it already arrived (the other world ran ahead).
-			if !p.dropEarlyAck(entry.key(), q) {
-				entry.needed[q] = true
+			if !p.dropEarlyAck(key, q) {
+				entry.needed = append(entry.needed, q)
 			}
 			if p.opts.SDC {
 				p.sendHash(q, ctx, tag, seq, meta, data)
@@ -277,10 +281,9 @@ func (p *Replicated) Isend(c *mpi.Comm, ctx uint32, to mpi.Rank, tag int, data [
 		} else {
 			entry.data = data
 		}
-		p.retain[entry.key()] = entry
+		p.retain[key] = entry
 	}
-	gate := func() bool { return len(entry.needed) == 0 }
-	return mpi.NewRequest(c, true, preqs, gate)
+	return req
 }
 
 // isendMirror is the MR-MPI baseline: transmit to every alive replica of
@@ -402,9 +405,15 @@ func (p *Replicated) discardDuplicate(m *transport.Message) {
 }
 
 // stash inserts an out-of-order arrival into the rank's ring (O(1); the
-// occupied-slot check doubles as duplicate detection).
+// occupied-slot check doubles as duplicate detection). A duplicate of a
+// stashed inherited RTS hands it its live handshake (see mpi.UnbindRTS).
 func (p *Replicated) stash(rc *seqCtx, srcRank int, m *transport.Message) {
-	if !rc.stash[srcRank].insert(rc.next[srcRank], m) {
+	st := &rc.stash[srcRank]
+	if !st.insert(rc.next[srcRank], m) {
+		if mpi.AdoptRTS(st.at(m.Seq), m) {
+			transport.FreeMessage(m)
+			return
+		}
 		p.discardDuplicate(m) // duplicate of a stashed message
 		return
 	}

@@ -65,6 +65,12 @@ func (st *seqStash) insert(next uint64, m *transport.Message) bool {
 	return true
 }
 
+// at returns the stashed message occupying seq's slot (after a failed
+// insert of seq, the stashed duplicate of seq).
+func (st *seqStash) at(seq uint64) *transport.Message {
+	return st.buf[seq&uint64(len(st.buf)-1)]
+}
+
 // pop removes and returns the message with sequence number seq, or nil.
 func (st *seqStash) pop(seq uint64) *transport.Message {
 	if st.n == 0 {

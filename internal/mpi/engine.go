@@ -90,6 +90,9 @@ type Engine struct {
 	rdvRecv    map[uint64]*PReq
 	rdvSend    map[uint64]*PReq
 	nextXID    uint64
+	// unbound holds receives matched to an inherited RTS (see UnbindRTS):
+	// they await the live handshake of a duplicate, adopted by RebindRTS.
+	unbound []*PReq
 
 	// Protocol hooks (the vProtocol interception points). OnArrive sees
 	// every application message (eager or RTS) before matching and may
@@ -232,28 +235,84 @@ func (e *Engine) CancelSendsTo(dst transport.ProcID) {
 	}
 }
 
-// RebindRTS re-attaches a duplicate RTS to a matched-but-incomplete
-// rendezvous receive of the same logical message (same context, sequence
-// and source rank). This happens when the original sender crashed between
-// its RTS and the payload transfer: the substitute's re-send must resume
-// the broken handshake rather than be discarded. Returns false if no
-// incomplete receive matches.
+// RebindRTS re-attaches a duplicate RTS to a receive of the same logical
+// message (same context, sequence and source rank) whose own handshake
+// cannot deliver. Two cases exist:
+//
+//   - a matched-but-incomplete rendezvous receive whose sender crashed
+//     between its RTS and the payload transfer: the substitute's re-send
+//     must resume the broken handshake rather than be discarded;
+//   - an inherited RTS (see UnbindRTS), matched and waiting, or still
+//     unmatched in the unexpected queue: it adopts the duplicate's live
+//     handshake, whichever of the two was matched or arrived first.
+//
+// Returns false if no such receive or envelope exists.
 func (e *Engine) RebindRTS(m *transport.Message) bool {
 	for xid, r := range e.rdvRecv {
 		if r.sink || r.done {
 			continue
 		}
-		if r.status.Ctx == m.Ctx && r.status.Seq == m.Seq &&
-			r.status.Meta[MetaSrcRank] == m.Meta[MetaSrcRank] {
+		if sameLogical(&r.status, m) {
 			delete(e.rdvRecv, xid)
-			r.status.SrcPhys = m.Src
-			r.status.Meta = m.Meta
-			e.rdvRecv[m.XID] = r
-			e.ep.Send(&transport.Message{Dst: m.Src, Kind: transport.KindCTS, Ctx: m.Ctx, XID: m.XID})
+			e.bindRecv(r, m)
+			return true
+		}
+	}
+	for i, r := range e.unbound {
+		if !r.done && sameLogical(&r.status, m) {
+			e.unbound = append(e.unbound[:i], e.unbound[i+1:]...)
+			e.bindRecv(r, m)
+			return true
+		}
+	}
+	for _, u := range e.unexpected {
+		if AdoptRTS(u, m) {
 			return true
 		}
 	}
 	return false
+}
+
+// sameLogical reports whether the RTS m carries the logical message a
+// matched receive's status describes.
+func sameLogical(st *PStatus, m *transport.Message) bool {
+	return st.Ctx == m.Ctx && st.Seq == m.Seq && st.Meta[MetaSrcRank] == m.Meta[MetaSrcRank]
+}
+
+// bindRecv attaches receive r to the live handshake of RTS m and sends
+// m's sender the CTS.
+func (e *Engine) bindRecv(r *PReq, m *transport.Message) {
+	r.status.SrcPhys = m.Src
+	r.status.Meta = m.Meta
+	e.rdvRecv[m.XID] = r
+	e.ep.Send(&transport.Message{Dst: m.Src, Kind: transport.KindCTS, Ctx: m.Ctx, XID: m.XID})
+}
+
+// UnbindRTS strips the handshake from an RTS envelope copied into a §3.4
+// recovery fork. The copy names the substitute's transfer: a CTS from the
+// replacement to the original sender could win the race for the payload
+// and leave the substitute's receive waiting forever. An unbound RTS
+// (XID 0, never a live handshake ID) matches like any other, but sends no
+// CTS; its receive waits for a duplicate of the same logical message —
+// the survivors replay every message the substitute had not acknowledged
+// at the fork — and RebindRTS or AdoptRTS hands it that duplicate's
+// handshake. Other kinds pass unchanged.
+func UnbindRTS(m *transport.Message) {
+	if m.Kind == transport.KindRTS {
+		m.XID = 0
+	}
+}
+
+// AdoptRTS binds the unbound inherited RTS envelope u to the live
+// handshake of dup, a duplicate RTS of the same logical message,
+// reporting whether it did. The caller still owns (and releases) dup.
+func AdoptRTS(u, dup *transport.Message) bool {
+	if u.Kind != transport.KindRTS || u.XID != 0 || dup.Kind != transport.KindRTS ||
+		u.Ctx != dup.Ctx || u.Seq != dup.Seq || u.Meta[MetaSrcRank] != dup.Meta[MetaSrcRank] {
+		return false
+	}
+	u.Src, u.XID, u.Meta = dup.Src, dup.XID, dup.Meta
+	return true
 }
 
 // SinkRTS completes a duplicate rendezvous handshake into a throwaway
@@ -397,8 +456,12 @@ func (e *Engine) deliver(req *PReq, m *transport.Message) {
 		if e.OnMatch != nil {
 			e.OnMatch(req, m)
 		}
-		e.rdvRecv[m.XID] = req
-		e.ep.Send(&transport.Message{Dst: m.Src, Kind: transport.KindCTS, Ctx: m.Ctx, XID: m.XID})
+		if m.XID == 0 {
+			// Inherited, unbound: wait for a duplicate's handshake.
+			e.unbound = append(e.unbound, req)
+		} else {
+			e.bindRecv(req, m)
+		}
 		transport.FreeMessage(m)
 		return
 	}

@@ -43,7 +43,9 @@ type WorkerStats struct {
 }
 
 // NewRunStats stamps the schema version.
-func NewRunStats() *RunStats { return &RunStats{Schema: "sdr.runstats/1", RestartWave: -1, ReplayWave: -1} }
+func NewRunStats() *RunStats {
+	return &RunStats{Schema: "sdr.runstats/1", RestartWave: -1, ReplayWave: -1}
+}
 
 // JSON renders the stats as one compact JSON document.
 func (rs *RunStats) JSON() ([]byte, error) { return json.Marshal(rs) }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -294,8 +295,15 @@ type Endpoint struct {
 	// delivery does not serialize every sender on one endpoint lock. The
 	// shard slice is sized from the world at construction (shardCountFor)
 	// and never resized, so shardMask needs no synchronization.
+	//
+	// occupied has bit i set whenever shard i holds a message: the bit is
+	// set and cleared only under that shard's lock (set by the append that
+	// makes the shard non-empty, cleared by the drain that empties it), so
+	// Drain and scanArrivals lock only the shards that may hold traffic.
+	// maxQueueShards ≤ 64 keeps it one word.
 	shards    []qshard
 	shardMask uint
+	occupied  atomic.Uint64
 	dead      atomic.Bool
 	nq        atomic.Int64 // queued messages across all shards
 	sleepers  atomic.Int32 // receivers blocked in WaitActivity/WaitUntil
@@ -310,10 +318,11 @@ type Endpoint struct {
 	drainBuf []*Message
 
 	// sender-side link serialization state: for each destination, when
-	// the previous transfer finishes occupying the link.
+	// the previous transfer finishes occupying the link, and the next
+	// transport sequence number (dense, indexed by destination ID).
 	sendMu   sync.Mutex           // sdr:lockrank epsend
 	linkFree map[ProcID]time.Time // guarded by sendMu
-	tseq     map[ProcID]uint64    // guarded by sendMu
+	tseq     []uint64             // guarded by sendMu
 	lastOut  time.Time            // guarded by sendMu; end of this process's previous send overhead
 }
 
@@ -325,7 +334,7 @@ func newEndpoint(id ProcID, nw *Network) *Endpoint {
 		shards:    make([]qshard, shards),
 		shardMask: uint(shards - 1),
 		linkFree:  make(map[ProcID]time.Time),
-		tseq:      make(map[ProcID]uint64),
+		tseq:      make([]uint64, nw.n),
 	}
 	ep.cond = sync.NewCond(&ep.mu)
 	gQueueShards.Set(int64(shards))
@@ -375,7 +384,7 @@ func (ep *Endpoint) Send(m *Message) error {
 
 	ep.sendMu.Lock()
 	m.tseq = ep.tseq[m.Dst]
-	ep.tseq[m.Dst] = m.tseq + 1
+	ep.tseq[m.Dst]++
 
 	var deliverAt time.Time
 	if d := ep.nw.delay; d != nil {
@@ -426,7 +435,8 @@ func (nw *Network) deliverDelayed(m *Message, at time.Time) error {
 func (ep *Endpoint) inject(m *Message) { ep.injectAt(m, time.Time{}) }
 
 func (ep *Endpoint) injectAt(m *Message, at time.Time) {
-	sh := &ep.shards[ep.shardOf(m.Src)]
+	i := ep.shardOf(m.Src)
+	sh := &ep.shards[i]
 	sh.mu.Lock()
 	// The dead check happens under the shard lock, and Kill passes a
 	// lock barrier over every shard after setting the flag: an append
@@ -440,6 +450,9 @@ func (ep *Endpoint) injectAt(m *Message, at time.Time) {
 		return
 	}
 	sh.q = append(sh.q, queued{m: m, deliverAt: at})
+	if len(sh.q) == 1 {
+		ep.occupied.Or(uint64(1) << uint(i))
+	}
 	sh.mu.Unlock()
 	ep.nq.Add(1)
 	if ep.sleepers.Load() > 0 {
@@ -471,6 +484,7 @@ func (ep *Endpoint) clearQueues() {
 		}
 		removed += len(sh.q)
 		sh.q = sh.q[:0]
+		ep.occupied.And(^(uint64(1) << uint(i)))
 		sh.mu.Unlock()
 	}
 	ep.nq.Add(int64(-removed))
@@ -497,13 +511,10 @@ func (ep *Endpoint) Drain() []*Message {
 	}
 	var now time.Time
 	removed := 0
-	for i := range ep.shards {
+	for occ := ep.occupied.Load(); occ != 0; occ &= occ - 1 {
+		i := bits.TrailingZeros64(occ)
 		sh := &ep.shards[i]
 		sh.mu.Lock()
-		if len(sh.q) == 0 {
-			sh.mu.Unlock()
-			continue
-		}
 		keep := sh.q[:0]
 		for _, q := range sh.q {
 			if !q.deliverAt.IsZero() {
@@ -522,6 +533,9 @@ func (ep *Endpoint) Drain() []*Message {
 			sh.q[j] = queued{} // unpin handed-off messages
 		}
 		sh.q = keep
+		if len(keep) == 0 {
+			ep.occupied.And(^(uint64(1) << uint(i)))
+		}
 		sh.mu.Unlock()
 	}
 	ep.nq.Add(int64(-removed))
@@ -621,8 +635,8 @@ func (ep *Endpoint) wait(deadline time.Time, stop func() bool) bool {
 // if not, the earliest future arrival time among the delayed ones.
 func (ep *Endpoint) scanArrivals() (ready bool, earliest time.Time) {
 	var now time.Time
-	for i := range ep.shards {
-		sh := &ep.shards[i]
+	for occ := ep.occupied.Load(); occ != 0; occ &= occ - 1 {
+		sh := &ep.shards[bits.TrailingZeros64(occ)]
 		sh.mu.Lock()
 		for _, q := range sh.q {
 			if q.deliverAt.IsZero() {

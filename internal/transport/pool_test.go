@@ -242,6 +242,85 @@ func TestShardedQueueConcurrency(t *testing.T) {
 	}
 }
 
+// TestShardOccupancyMask drives a 64-shard endpoint with one concurrent
+// injector per shard while the receiver drains through the occupancy
+// mask: every message must come out exactly once, in per-source FIFO
+// order, and the mask must read empty once the queues are. Revive must
+// clear the bits of the shards it empties.
+func TestShardOccupancyMask(t *testing.T) {
+	const senders, perSrc = 64, 300
+	nw := NewNetwork(senders+1, nil)
+	defer nw.Close()
+	dst := ProcID(senders)
+	recv := nw.Endpoint(dst)
+	if len(recv.shards) != maxQueueShards {
+		t.Fatalf("%d shards, want %d", len(recv.shards), maxQueueShards)
+	}
+	covered := uint64(0)
+	for s := 0; s < senders; s++ {
+		covered |= 1 << uint(recv.shardOf(ProcID(s)))
+	}
+	if covered != ^uint64(0) {
+		t.Fatalf("senders cover shard mask %#x, want every shard", covered)
+	}
+
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			ep := nw.Endpoint(ProcID(s))
+			for i := 0; i < perSrc; i++ {
+				ep.Send(&Message{Dst: dst, Kind: KindEager, Seq: uint64(i)})
+			}
+		}(s)
+	}
+	next := make([]uint64, senders)
+	total := 0
+	deadline := time.Now().Add(10 * time.Second)
+	for total < senders*perSrc && time.Now().Before(deadline) {
+		recv.WaitActivity(time.Millisecond)
+		for _, m := range recv.Drain() {
+			if m.Seq != next[m.Src] {
+				t.Fatalf("from %d: seq %d, want %d (lost, duplicated or reordered)", m.Src, m.Seq, next[m.Src])
+			}
+			next[m.Src]++
+			total++
+			FreeMessage(m)
+		}
+	}
+	wg.Wait()
+	if total != senders*perSrc {
+		t.Fatalf("drained %d/%d", total, senders*perSrc)
+	}
+	if got := recv.Drain(); len(got) != 0 {
+		t.Fatalf("%d messages drained after every sender's last", len(got))
+	}
+	if occ := recv.occupied.Load(); occ != 0 {
+		t.Fatalf("occupancy mask %#x with every shard drained", occ)
+	}
+
+	// Queue one message per shard, then kill and revive the receiver.
+	for s := 0; s < senders; s++ {
+		nw.Endpoint(ProcID(s)).Send(&Message{Dst: dst, Kind: KindEager})
+	}
+	if occ := recv.occupied.Load(); occ != ^uint64(0) {
+		t.Fatalf("occupancy mask %#x with every shard holding a message", occ)
+	}
+	nw.Kill(dst)
+	nw.Revive(dst)
+	if occ := recv.occupied.Load(); occ != 0 {
+		t.Fatalf("occupancy mask %#x after Revive", occ)
+	}
+	if n := recv.nq.Load(); n != 0 {
+		t.Fatalf("%d messages counted after Revive", n)
+	}
+	nw.Endpoint(0).Send(&Message{Dst: dst, Kind: KindEager, Seq: 7})
+	if got := recv.Drain(); len(got) != 1 || got[0].Seq != 7 {
+		t.Fatalf("after Revive drained %v, want the one new message", got)
+	}
+}
+
 // TestAckBatchRoundTrip exercises the coalesced-ack codec, including its
 // rejection paths.
 func TestAckBatchRoundTrip(t *testing.T) {
