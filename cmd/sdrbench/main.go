@@ -5,7 +5,7 @@
 //	sdrbench -exp fig2            # anonymous receptions: leader vs SDR
 //	sdrbench -exp fig3            # crash + substitution scenario
 //	sdrbench -exp fig4            # recovery scenario
-//	sdrbench -exp fig7a|fig7b     # NetPipe latency / throughput sweeps
+//	sdrbench -exp fig7            # NetPipe latency + throughput sweep
 //	sdrbench -exp ablation-mirror # O(q·r) vs O(q·r²) message complexity
 //	sdrbench -exp ablation-leader # wildcard cost: leader vs leaderless
 //	sdrbench -exp ablation-degree # overhead vs replication degree (r=1,2,3)
@@ -20,7 +20,8 @@
 //	sdrbench -exp wirescale       # batch-first wire scaling: ranks × degree × size
 //	sdrbench -exp all             # everything
 //
-// -ranks and -scale grow the workloads toward the paper's class-D feel.
+// -ranks and -scale grow the workloads toward the paper's class-D feel;
+// -max bounds the fig7 sweep (the full 8 MiB sweep takes minutes).
 package main
 
 import (
@@ -33,10 +34,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (table1, table1-ext, table2, fig2, fig3, fig4, fig7a, fig7b, ablation-mirror, ablation-leader, ablation-degree, ablation-eager, ablation-coalesce, ablation-ckpt, ablation-recovery, determinism, partial, sdc, wirescale, all)")
+	exp := flag.String("exp", "all", "experiment id (table1, table1-ext, table2, fig2, fig3, fig4, fig7, ablation-mirror, ablation-leader, ablation-degree, ablation-eager, ablation-coalesce, ablation-ckpt, ablation-recovery, determinism, partial, sdc, wirescale, all)")
 	ranks := flag.Int("ranks", 8, "logical ranks for table experiments")
 	scale := flag.Int("scale", 1, "workload scale factor")
 	reps := flag.Int("reps", 3, "repetitions per measurement (median reported)")
+	maxSize := flag.Int("max", 8<<20, "largest fig7 message size in bytes")
 	flag.Parse()
 
 	s := bench.Scale{Ranks: *ranks, Factor: *scale}
@@ -72,17 +74,19 @@ func main() {
 			return bench.RunFig3(os.Stdout, 12, 5)
 		case "fig4":
 			return bench.RunFig4(os.Stdout, 12, 4, 8)
-		case "fig7a":
-			nc, err := bench.RunNetpipe(bench.NetpipeSizes())
+		case "fig7":
+			var sizes []int
+			for _, size := range bench.NetpipeSizes() {
+				if size <= *maxSize {
+					sizes = append(sizes, size)
+				}
+			}
+			nc, err := bench.RunNetpipe(sizes)
 			if err != nil {
 				return err
 			}
 			nc.RenderFig7a(os.Stdout)
-		case "fig7b":
-			nc, err := bench.RunNetpipe(bench.NetpipeSizes())
-			if err != nil {
-				return err
-			}
+			fmt.Println()
 			nc.RenderFig7b(os.Stdout)
 		case "table1-ext":
 			rows, err := bench.CompareTable(bench.ExtendedNASWorkloads(s), cluster.SDR, *reps)
@@ -173,7 +177,7 @@ func main() {
 
 	ids := []string{*exp}
 	if *exp == "all" {
-		ids = []string{"fig2", "fig3", "fig4", "fig7a", "fig7b", "table1", "table1-ext", "table2",
+		ids = []string{"fig2", "fig3", "fig4", "fig7", "table1", "table1-ext", "table2",
 			"ablation-mirror", "ablation-leader", "ablation-degree", "ablation-eager",
 			"ablation-coalesce", "ablation-ckpt", "ablation-recovery", "determinism", "partial", "sdc", "wirescale"}
 	}

@@ -185,7 +185,8 @@
 // polling sleep.
 //
 // Entry points: cmd/sdrbench regenerates the paper's artifacts by
-// experiment id, cmd/netpipe runs the ping-pong sweep, cmd/faultdemo
-// narrates crash + substitution, and examples/ holds small applications.
+// experiment id (-exp fig7 is the ping-pong sweep, -max bounds it),
+// cmd/faultdemo narrates crash + substitution, and examples/ holds small
+// applications.
 // See README.md for the full tour.
 package repro

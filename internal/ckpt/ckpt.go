@@ -48,20 +48,6 @@ func (s *Store) path(rank, step int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("ckpt-r%04d-s%08d.bin", rank, step))
 }
 
-// Save persists one rank's state at a step, replacing any previous file
-// for it; write=false is a no-op. The write is atomic (temp file +
-// rename) so a crash mid-write never corrupts the previous checkpoint.
-func (s *Store) Save(rank, step int, data []byte, write bool) error {
-	if !write {
-		return nil
-	}
-	if err := s.writeAtomic(s.path(rank, step), data); err != nil {
-		return err
-	}
-	mBytesCkpt.Add(uint64(len(data)))
-	return nil
-}
-
 // Publish persists one rank's state at a step unless a file for it
 // already exists, reporting whether this call created it. Every replica
 // of a rank calls it on reaching a wave: the first one publishes, the
@@ -92,7 +78,7 @@ func (s *Store) Publish(rank, step int, data []byte) (bool, error) {
 
 // writeAtomic persists data with an fnv64 integrity footer via a temp file
 // + rename, so a crash mid-write never corrupts a previous file under the
-// same name. Shared by checkpoint and message-log writes.
+// same name. Message-log writes use it; checkpoints go through Publish.
 func (s *Store) writeAtomic(path string, data []byte) error {
 	tmpName, err := s.writeTemp(data)
 	if err != nil {

@@ -20,7 +20,7 @@ func newTestStore(t *testing.T) *Store {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	s := newTestStore(t)
 	data := []byte("state at step 5")
-	if err := s.Save(3, 5, data, true); err != nil {
+	if _, err := s.Publish(3, 5, data); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.Load(3, 5)
@@ -32,19 +32,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNonWriterIsNoOp(t *testing.T) {
-	s := newTestStore(t)
-	if err := s.Save(0, 1, []byte("x"), false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Load(0, 1); err == nil {
-		t.Fatal("non-writer save must not create a file")
-	}
-}
-
 func TestLoadDetectsCorruption(t *testing.T) {
 	s := newTestStore(t)
-	if err := s.Save(1, 2, []byte("precious state"), true); err != nil {
+	if _, err := s.Publish(1, 2, []byte("precious state")); err != nil {
 		t.Fatal(err)
 	}
 	// Flip a payload bit on disk.
@@ -65,7 +55,7 @@ func TestLoadDetectsCorruption(t *testing.T) {
 func TestVerifyCrossReplica(t *testing.T) {
 	s := newTestStore(t)
 	state := []byte("replica state")
-	if err := s.Save(0, 7, state, true); err != nil {
+	if _, err := s.Publish(0, 7, state); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Verify(0, 7, state); err != nil {
@@ -81,12 +71,12 @@ func TestStepsAndLatestCommon(t *testing.T) {
 	// Rank 0 checkpointed steps 2, 5, 9; rank 1 only 2 and 5. Waves 2 and
 	// 5 are committed; 9 is missing rank 1 and was never committed.
 	for _, st := range []int{2, 5, 9} {
-		if err := s.Save(0, st, []byte{byte(st)}, true); err != nil {
+		if _, err := s.Publish(0, st, []byte{byte(st)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, st := range []int{2, 5} {
-		if err := s.Save(1, st, []byte{byte(st)}, true); err != nil {
+		if _, err := s.Publish(1, st, []byte{byte(st)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Commit(st); err != nil {
@@ -115,7 +105,7 @@ func TestLatestCommonRequiresCommitMarker(t *testing.T) {
 	// save raced a crash. It must never be chosen.
 	for rank := 0; rank < 2; rank++ {
 		for _, st := range []int{2, 4} {
-			if err := s.Save(rank, st, []byte{byte(st)}, true); err != nil {
+			if _, err := s.Publish(rank, st, []byte{byte(st)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -128,7 +118,7 @@ func TestLatestCommonRequiresCommitMarker(t *testing.T) {
 	}
 	// A marker without every rank's file (the opposite torn state) is
 	// equally unusable.
-	if err := s.Save(0, 6, []byte{6}, true); err != nil {
+	if _, err := s.Publish(0, 6, []byte{6}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Commit(6); err != nil {
@@ -143,7 +133,7 @@ func TestCommitIdempotentAndPrune(t *testing.T) {
 	s := newTestStore(t)
 	for _, st := range []int{1, 3, 5} {
 		for rank := 0; rank < 2; rank++ {
-			if err := s.Save(rank, st, []byte{byte(st)}, true); err != nil {
+			if _, err := s.Publish(rank, st, []byte{byte(st)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -176,10 +166,15 @@ func TestCommitIdempotentAndPrune(t *testing.T) {
 }
 
 func TestOverwriteSameStep(t *testing.T) {
+	// Message-log files are rewritten in place (temp file + rename): the
+	// last write of a step wins, unlike a checkpoint's first publisher.
 	s := newTestStore(t)
-	s.Save(0, 1, []byte("old"), true)
-	s.Save(0, 1, []byte("new"), true)
-	got, err := s.Load(0, 1)
+	for _, data := range []string{"old", "new"} {
+		if err := s.SaveLog(0, 1, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := s.LoadLog(0, 1)
 	if err != nil || string(got) != "new" {
 		t.Fatalf("got %q err %v", got, err)
 	}
@@ -190,7 +185,7 @@ func TestSaveLoadProperty(t *testing.T) {
 	step := 0
 	f := func(data []byte) bool {
 		step++
-		if err := s.Save(0, step, data, true); err != nil {
+		if _, err := s.Publish(0, step, data); err != nil {
 			return false
 		}
 		got, err := s.Load(0, step)
@@ -221,7 +216,7 @@ func TestSaveIntoRemovedDir(t *testing.T) {
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save(0, 1, []byte("data"), true); err == nil {
+	if _, err := s.Publish(0, 1, []byte("data")); err == nil {
 		t.Fatal("Save into a removed directory succeeded")
 	}
 }
@@ -241,7 +236,7 @@ func TestLoadTruncatedCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save(0, 0, []byte("payload"), true); err != nil {
+	if _, err := s.Publish(0, 0, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	// Truncate below the 8-byte footer.
@@ -332,7 +327,7 @@ func TestLoadFailureModes(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newTestStore(t)
-			if err := s.Save(0, 0, []byte(payload), true); err != nil {
+			if _, err := s.Publish(0, 0, []byte(payload)); err != nil {
 				t.Fatal(err)
 			}
 			tc.damage(t, s, filepath.Join(s.Dir(), "ckpt-r0000-s00000000.bin"))
@@ -372,7 +367,7 @@ func TestStepsIgnoresForeignFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save(1, 5, []byte("a"), true); err != nil {
+	if _, err := s.Publish(1, 5, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
 	for _, junk := range []string{"notes.txt", "ckpt-r0001-sBAD.bin", "ckpt-r0001-s00000009.tmp"} {

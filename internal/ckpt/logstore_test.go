@@ -22,7 +22,7 @@ func TestLogRoundTrip(t *testing.T) {
 	if st, err := s.LatestLog(1); err != nil || st != -1 {
 		t.Fatalf("unpaired mlog LatestLog = %d, %v; want -1, nil", st, err)
 	}
-	if err := s.Save(1, 4, []byte("app-4"), true); err != nil {
+	if _, err := s.Publish(1, 4, []byte("app-4")); err != nil {
 		t.Fatal(err)
 	}
 	if st, err := s.LatestLog(1); err != nil || st != 4 {
@@ -49,7 +49,7 @@ func TestPruneCollectsMessageLogs(t *testing.T) {
 	const waves = 6
 	for step := 1; step <= waves; step++ {
 		for rank := 0; rank < 2; rank++ {
-			if err := s.Save(rank, step, []byte{byte(step)}, true); err != nil {
+			if _, err := s.Publish(rank, step, []byte{byte(step)}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -111,7 +111,7 @@ func TestRegistryCommitsWaveWhenAllRanksSaved(t *testing.T) {
 
 	// The writers actually save their files (the registry only counts and
 	// stamps; the data goes through the shared store).
-	if err := store.Save(0, 3, []byte("r0"), true); err != nil {
+	if _, err := store.Publish(0, 3, []byte("r0")); err != nil {
 		t.Fatal(err)
 	}
 	w0.send(t, ctlMsg{Op: opCkpt, Rank: 0, Step: 3})
@@ -128,7 +128,7 @@ func TestRegistryCommitsWaveWhenAllRanksSaved(t *testing.T) {
 	if !waitFor(false) {
 		t.Fatal("wave committed after a single rank's save")
 	}
-	if err := store.Save(1, 3, []byte("r1"), true); err != nil {
+	if _, err := store.Publish(1, 3, []byte("r1")); err != nil {
 		t.Fatal(err)
 	}
 	w1.send(t, ctlMsg{Op: opCkpt, Rank: 1, Step: 3})

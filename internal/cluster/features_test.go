@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -12,39 +11,43 @@ import (
 // The paper's central implementation claim (§4.1): because the protocol
 // intercepts communication at the point-to-point layer, every facility
 // built on top — collectives, communicators, groups, and by extension
-// everything this library added (persistent requests, send modes, derived
-// datatypes, topologies, neighborhood collectives, non-blocking
-// collectives) — is covered with no protocol-specific code. These tests
-// run each facility under every protocol and, for SDR, under a mid-run
-// replica crash.
+// everything this library added (persistent requests, derived datatypes,
+// topologies, inter-communicators) — is covered with no protocol-specific
+// code. These tests run each facility under every protocol and, for SDR,
+// under a mid-run replica crash.
 
-// runUnderProtocols runs app under native + all replication protocols and
-// requires identical results everywhere (comparable via fmt.Sprint).
+// runUnderProtocols runs app natively, then under every replication
+// protocol, and requires every proc's result to equal the native result
+// of its rank (compared via fmt.Sprint).
 func runUnderProtocols(t *testing.T, ranks int, app AppFunc) {
 	t.Helper()
-	var ref string
-	for i, proto := range []Protocol{Native, SDR, Mirror, Leader} {
+	var ref *Report
+	for _, proto := range []Protocol{Native, SDR, Mirror, Leader} {
 		rep := Run(Config{Ranks: ranks, Protocol: proto, Timeout: 30 * time.Second}, app)
 		if err := rep.FirstError(); err != nil {
 			t.Fatalf("%s: %v", proto, err)
 		}
-		for _, p := range rep.Procs {
-			got := fmt.Sprint(p.Rank, "=>", p.Result)
-			if i == 0 && p.Rank == 0 {
-				ref = fmt.Sprint(p.Result)
-			}
-			_ = got
-			if fmt.Sprint(p.Result) == "" {
-				t.Errorf("%s rank %d rep %d: empty result", proto, p.Rank, p.Rep)
-			}
+		if ref == nil {
+			ref = rep
 		}
-		// Results must agree with the native run rank-by-rank.
 		for _, p := range rep.Procs {
-			if p.Rank == 0 && fmt.Sprint(p.Result) != ref {
-				t.Errorf("%s rank 0: %v, native %v", proto, p.Result, ref)
+			want := ref.ResultOf(p.Rank, 0)
+			if want == nil {
+				t.Fatalf("%s rank %d: no native result", proto, p.Rank)
+			}
+			if fmt.Sprint(p.Result) != fmt.Sprint(want) {
+				t.Errorf("%s rank %d rep %d: %v, native %v", proto, p.Rank, p.Rep, p.Result, want)
 			}
 		}
 	}
+}
+
+// recvLayout receives a packed payload and scatters it into dst through l
+// — the receiving half of an IsendLayout.
+func recvLayout(c *mpi.Comm, from mpi.Rank, tag int, l mpi.Layout, dst []byte) {
+	wire := make([]byte, l.PackedSize())
+	c.Recv(from, tag, wire)
+	l.Unpack(wire, dst)
 }
 
 func TestPersistentRequestsUnderReplication(t *testing.T) {
@@ -68,74 +71,25 @@ func TestPersistentRequestsUnderReplication(t *testing.T) {
 	})
 }
 
-func TestSsendUnderReplication(t *testing.T) {
-	runUnderProtocols(t, 2, func(env *Env) (any, error) {
-		c := env.World
-		sum := 0
-		buf := make([]byte, 4)
-		for i := 0; i < 8; i++ {
-			if c.Rank() == 0 {
-				c.Ssend(1, 1, []byte{byte(i), 1, 2, 3})
-				c.Recv(1, 2, buf)
-				sum += int(buf[0])
-			} else {
-				c.Recv(0, 1, buf)
-				c.Ssend(0, 2, []byte{buf[0] * 2, 0, 0, 0})
-				sum += int(buf[0])
-			}
-		}
-		return sum, nil
-	})
-}
-
-func TestBsendUnderReplication(t *testing.T) {
-	runUnderProtocols(t, 2, func(env *Env) (any, error) {
-		c := env.World
-		if c.Rank() == 0 {
-			c.Proc().BufferAttach(1 << 16)
-			data := make([]byte, 512)
-			for i := 0; i < 5; i++ {
-				data[0] = byte(10 + i)
-				c.Bsend(1, 1, data)
-			}
-			c.Proc().BufferDetach()
-			return "sent", nil
-		}
-		sum := 0
-		buf := make([]byte, 512)
-		for i := 0; i < 5; i++ {
-			c.Recv(0, 1, buf)
-			sum += int(buf[0])
-		}
-		return sum, nil
-	})
-}
-
 func TestDerivedDatatypesUnderReplication(t *testing.T) {
 	runUnderProtocols(t, 2, func(env *Env) (any, error) {
 		c := env.World
-		// An 8x8 byte matrix; rank 0 sends its diagonal-ish subarray and
-		// a strided vector; rank 1 reassembles.
-		sub := mpi.Subarray{Sizes: []int{8, 8}, Subsizes: []int{4, 4}, Starts: []int{2, 2}, Elem: mpi.Byte}
-		vec := mpi.Vector{Count: 4, BlockLen: 2, Stride: 8, Elem: mpi.Byte}
+		// An 8x8 byte matrix; rank 0 sends a centred 4x4 block and its
+		// second column; rank 1 scatters both into a blank matrix.
+		block := mpi.Subarray{Sizes: []int{8, 8}, Subsizes: []int{4, 4}, Starts: []int{2, 2}, Elem: mpi.Byte}
+		col := mpi.Subarray{Sizes: []int{8, 8}, Subsizes: []int{8, 1}, Starts: []int{0, 1}, Elem: mpi.Byte}
+		m := make([]byte, 64)
 		if c.Rank() == 0 {
-			m := make([]byte, 64)
 			for i := range m {
 				m[i] = byte(i + 1)
 			}
-			c.SendLayout(1, 1, sub, m)
-			c.SendLayout(1, 2, vec, m)
+			mpi.Waitall(c.IsendLayout(1, 1, block, m), c.IsendLayout(1, 2, col, m))
 			return "sent", nil
 		}
-		m := make([]byte, 64)
-		c.RecvLayout(0, 1, sub, m)
-		v := make([]byte, vec.Extent())
-		c.RecvLayout(0, 2, vec, v)
+		recvLayout(c, 0, 1, block, m)
+		recvLayout(c, 0, 2, col, m)
 		h := 0
 		for _, b := range m {
-			h = h*31 + int(b)
-		}
-		for _, b := range v {
 			h = h*31 + int(b)
 		}
 		return h, nil
@@ -149,11 +103,19 @@ func TestCartTopologyUnderReplication(t *testing.T) {
 		if cart == nil {
 			return "outside", nil
 		}
-		// One neighbourhood allgather plus a sub-grid reduction.
-		got := cart.NeighborAllgather([]byte{byte(cart.Rank() + 1)})
-		row := cart.CartSub([]bool{false, true})
-		rowSum := row.AllreduceInt64(int64(cart.Rank()), mpi.OpSum)
-		return fmt.Sprintf("%v/%d", got, rowSum), nil
+		// A one-value halo along each dimension (periodic, then open)
+		// plus a world reduction over what arrived.
+		halo := int64(0)
+		for dim := 0; dim < cart.Ndims(); dim++ {
+			src, dst := cart.CartShift(dim, 1)
+			in := make([]byte, 8)
+			st := cart.Sendrecv(dst, dim, mpi.Int64Bytes([]int64{int64(cart.Rank()) + 1}), src, dim, in)
+			if st.Source != mpi.ProcNull {
+				halo = halo*10 + mpi.Int64Value(in)
+			}
+		}
+		sum := c.AllreduceInt64(halo, mpi.OpSum)
+		return fmt.Sprintf("%v/%d/%d", cart.Coords(), halo, sum), nil
 	})
 }
 
@@ -170,31 +132,6 @@ func TestNonblockingCollectivesUnderReplication(t *testing.T) {
 			out += fmt.Sprintf(" r=%d", mpi.Int64Value(red))
 		}
 		return out, nil
-	})
-}
-
-func TestWaitsomeUnderReplication(t *testing.T) {
-	runUnderProtocols(t, 4, func(env *Env) (any, error) {
-		c := env.World
-		if c.Rank() == 0 {
-			bufs := make([][]byte, 3)
-			reqs := make([]*mpi.Request, 3)
-			for i := 0; i < 3; i++ {
-				bufs[i] = make([]byte, 1)
-				reqs[i] = c.Irecv(mpi.Rank(i+1), 1, bufs[i])
-			}
-			sum := 0
-			for done := 0; done < 3; {
-				idxs, _ := mpi.Waitsome(reqs)
-				for _, i := range idxs {
-					sum += int(bufs[i][0])
-					done++
-				}
-			}
-			return sum, nil
-		}
-		c.Send(0, 1, []byte{byte(c.Rank() * 10)})
-		return "sent", nil
 	})
 }
 
@@ -260,11 +197,11 @@ func TestLayoutExchangeSurvivesCrash(t *testing.T) {
 			env.Step(step, nil)
 			peer := mpi.Rank(1 - c.Rank())
 			if c.Rank() == 0 {
-				c.SendLayout(peer, 1, right, grid)
-				c.RecvLayout(peer, 2, left, grid)
+				c.IsendLayout(peer, 1, right, grid).Wait()
+				recvLayout(c, peer, 2, left, grid)
 			} else {
-				c.RecvLayout(peer, 1, left, grid)
-				c.SendLayout(peer, 2, right, grid)
+				recvLayout(c, peer, 1, left, grid)
+				c.IsendLayout(peer, 2, right, grid).Wait()
 			}
 			for _, b := range grid {
 				acc = acc*31 + uint64(b)
@@ -344,41 +281,6 @@ func TestMirrorRendezvousFinalizeDrain(t *testing.T) {
 		for _, p := range rep.Procs {
 			if p.Rank == 1 && p.Result != 42 {
 				t.Errorf("size %d: receiver got %v", size, p.Result)
-			}
-		}
-	}
-}
-
-func TestBufferDetachDrainsAcksUnderSDR(t *testing.T) {
-	// A buffered send's hidden request is gated on replication acks;
-	// BufferDetach must pump progress until they arrive (not spin or
-	// return early).
-	rep := Run(Config{Ranks: 2, Protocol: SDR, Timeout: 30 * time.Second},
-		func(env *Env) (any, error) {
-			c := env.World
-			if c.Rank() == 0 {
-				c.Proc().BufferAttach(4096)
-				payload := bytes.Repeat([]byte{0xAB}, 1024)
-				c.Bsend(1, 1, payload)
-				n := c.Proc().BufferDetach() // must block until acked
-				return n, nil
-			}
-			buf := make([]byte, 1024)
-			c.Recv(0, 1, buf)
-			return int(buf[0]), nil
-		})
-	if err := rep.FirstError(); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range rep.Procs {
-		switch p.Rank {
-		case 0:
-			if p.Result != 4096 {
-				t.Errorf("BufferDetach returned %v", p.Result)
-			}
-		case 1:
-			if p.Result != 0xAB {
-				t.Errorf("receiver saw %v", p.Result)
 			}
 		}
 	}

@@ -21,6 +21,12 @@ import (
 // prepare applies the configuration rules both launchers share and opens
 // the checkpoint store when one is configured.
 func (c Config) prepare() (core.Layout, *ckpt.Store, error) {
+	if len(c.Recoveries) > 0 && c.Protocol != SDR && c.Protocol != Leader {
+		// The §3.4 fork relies on the survivors re-sending every message
+		// the replacement has not acknowledged: under mirror a re-fork
+		// hangs or never runs, and natively there is no replica to fork.
+		return core.Layout{}, nil, fmt.Errorf("cluster: Config.Recoveries requires the sdr or leader protocol (got %q)", c.Protocol)
+	}
 	layout, err := c.layout()
 	if err == nil {
 		err = validateSchedule(layout, c.Failures, c.Recoveries)

@@ -131,6 +131,13 @@ func TestLaunchersRejectConfig(t *testing.T) {
 		for name, mutate := range shared {
 			refused(launcher, name, mutate, "")
 		}
+		// A §3.4 re-fork needs the survivors' re-sends: mirror and native
+		// runs must refuse it by name, not hang or skip it.
+		for _, proto := range []Protocol{Mirror, Native} {
+			refused(launcher, "Recoveries under "+string(proto), func(c *Config) {
+				c.Protocol, c.Recoveries = proto, []RecoveryEvent{{Rank: 1, Rep: 1, AtStep: 3}}
+			}, "Recoveries")
+		}
 	}
 	for field, mutate := range inProcessOnly {
 		refused("RunDistributed", field, mutate, field)

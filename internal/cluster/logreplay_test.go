@@ -142,7 +142,7 @@ func TestLocalizedReplayFailsClosedOnCorruptLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sab.Save(1, 99, []byte{9, 9}, true); err != nil {
+	if _, err := sab.Publish(1, 99, []byte{9, 9}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sab.SaveLog(1, 99, []byte("not a replay state")); err != nil {

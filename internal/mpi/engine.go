@@ -41,13 +41,6 @@ type PReq struct {
 // Done reports request completion at the PML level.
 func (r *PReq) Done() bool { return r.done }
 
-// Cancelled reports whether the request was cancelled.
-func (r *PReq) Cancelled() bool { return r.cancelled }
-
-// Truncated reports whether a matched message overflowed the receive
-// buffer (MPI_ERR_TRUNCATE).
-func (r *PReq) Truncated() bool { return r.truncated }
-
 // PStatus returns the PML-level completion status.
 func (r *PReq) PStatus() PStatus { return r.status }
 
@@ -202,26 +195,6 @@ func (e *Engine) Irecv(src transport.ProcID, pred func(transport.ProcID) bool, c
 	return r
 }
 
-// Cancel marks a request cancelled. Posted receives are withdrawn from
-// matching; pending rendezvous sends are dropped (a late CTS is ignored).
-func (e *Engine) Cancel(r *PReq) {
-	if r == nil || r.done {
-		return
-	}
-	r.cancelled = true
-	r.done = true
-	if r.send {
-		delete(e.rdvSend, r.xid)
-		return
-	}
-	for i, p := range e.posted {
-		if p == r {
-			e.posted = append(e.posted[:i], e.posted[i+1:]...)
-			break
-		}
-	}
-}
-
 // CancelSendsTo cancels every pending rendezvous send addressed to dst —
 // its CTS will never come once dst has failed. Eager sends complete
 // immediately and need no cancellation.
@@ -357,37 +330,6 @@ func (e *Engine) TakeUnexpected() []*transport.Message {
 	ms := e.unexpected
 	e.unexpected = nil
 	return ms
-}
-
-// RetargetRecvs redirects every posted receive that names physical source
-// old to name new instead (Algorithm 1, lines 34-35), then re-runs
-// matching against the unexpected queue, since messages from the new
-// source may already have arrived.
-func (e *Engine) RetargetRecvs(old, new transport.ProcID) {
-	changed := false
-	for _, r := range e.posted {
-		if !r.send && r.srcWant == old {
-			r.srcWant = new
-			changed = true
-		}
-	}
-	if changed {
-		e.rematch()
-	}
-}
-
-// rematch retries delivery of unexpected messages against posted receives.
-func (e *Engine) rematch() {
-	i := 0
-	for i < len(e.unexpected) {
-		m := e.unexpected[i]
-		if req := e.findPosted(m); req != nil {
-			e.unexpected = append(e.unexpected[:i], e.unexpected[i+1:]...)
-			e.deliver(req, m)
-			continue
-		}
-		i++
-	}
 }
 
 func (e *Engine) findPosted(m *transport.Message) *PReq {

@@ -14,36 +14,28 @@ func twoEngines() (*Engine, *Engine, *transport.Network) {
 	return a, b, nw
 }
 
-func TestCancelPostedRecv(t *testing.T) {
-	a, _, nw := twoEngines()
-	defer nw.Close()
-	r := a.Irecv(1, nil, 2, 5, make([]byte, 4))
-	if a.PostedLen() != 1 {
-		t.Fatal("not posted")
-	}
-	a.Cancel(r)
-	if !r.Cancelled() || !r.Done() {
-		t.Fatal("cancel flags wrong")
-	}
-	if a.PostedLen() != 0 {
-		t.Fatal("still posted after cancel")
-	}
-	// Cancel is idempotent and safe on nil.
-	a.Cancel(r)
-	a.Cancel(nil)
-}
-
 func TestCancelPendingRendezvousSend(t *testing.T) {
-	a, _, nw := twoEngines()
+	// A rendezvous send cancelled before its CTS arrives completes at
+	// once, and a late CTS for it ships no payload.
+	a, b, nw := twoEngines()
 	defer nw.Close()
 	a.EagerLimit = 4
 	r := a.Isend(1, 2, 5, make([]byte, 100), 0, [4]int64{})
 	if r.Done() {
 		t.Fatal("rendezvous send should be pending before CTS")
 	}
-	a.Cancel(r)
-	if !r.Done() || !r.Cancelled() {
+	b.Irecv(0, nil, 2, 5, make([]byte, 100))
+	b.Progress() // match the RTS and answer with a CTS
+	a.CancelSendsTo(1)
+	if !r.Done() {
 		t.Fatal("cancel did not complete the request")
+	}
+	a.Progress() // the late CTS
+	nw.FlushWire(0, true)
+	for _, m := range nw.Endpoint(1).Drain() {
+		if m.Kind == transport.KindData {
+			t.Fatal("cancelled send shipped its payload on a late CTS")
+		}
 	}
 }
 
@@ -130,23 +122,6 @@ func TestRebindRTSRejectsUnrelated(t *testing.T) {
 	m := &transport.Message{Kind: transport.KindRTS, Ctx: 2, Seq: 7, XID: 42}
 	if b.RebindRTS(m) {
 		t.Fatal("rebind with no pending receive should fail")
-	}
-}
-
-func TestRetargetRecvs(t *testing.T) {
-	a, _, nw := twoEngines()
-	defer nw.Close()
-	buf := make([]byte, 4)
-	r := a.Irecv(1, nil, 2, 5, buf)
-	a.RetargetRecvs(1, 0)
-	// A message from proc 0 must now match.
-	nw.Endpoint(0).Send(&transport.Message{Dst: 0, Kind: transport.KindEager, Ctx: 2, Tag: 5, Data: []byte{9}})
-	a.Progress()
-	if !r.Done() {
-		t.Fatal("retargeted receive did not match")
-	}
-	if r.PStatus().SrcPhys != 0 {
-		t.Fatalf("src %d", r.PStatus().SrcPhys)
 	}
 }
 
